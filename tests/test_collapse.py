@@ -9,6 +9,7 @@ Statistical assertions run at 3 sigma with frozen seeds (the engine is
 bit-reproducible, so these are fixed test vectors, not flaky checks).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -216,13 +217,15 @@ def test_single_trial_outcome_shape():
 
 
 def test_single_trial_timeout():
+    rng = TrialStream(42, 0)
     with pytest.raises(CollapseTimeoutError):
         run_collapse_trial(
             state_with_weight(0.5),
             CaptureRegion(1e-4, 1e-4, 1e-4),
-            TrialStream(42, 0),
+            rng,
             max_steps=50,
         )
+    assert rng.position == 6 * 50
 
 
 def test_batch_matches_single_trials_bitwise():
@@ -239,6 +242,54 @@ def test_batch_deterministic():
     a = run_collapse_batch(phi, DEFAULT_REGION, seed=5, n_trials=500)
     b = run_collapse_batch(phi, DEFAULT_REGION, seed=5, n_trials=500)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+WIDE_BOX = CaptureRegion(math.pi / 8, math.pi / 8, math.pi / 8)
+
+
+def outcome_digest(outcomes, steps) -> str:
+    return hashlib.sha256(
+        outcomes.astype("<i1").tobytes() + steps.astype("<i8").tobytes()
+    ).hexdigest()
+
+
+# Pinned (outcomes, steps) of the batch engine; any change to the capture
+# kernel must leave these bit-identical.
+@pytest.mark.parametrize(
+    "phi, region, seed, digest",
+    [
+        (state_with_weight(0.9), DEFAULT_REGION, 101,
+         "126a2a2ccbda3c4951e172e54c967d2fd25168a1a65c9d019cd19d322657cfbc"),
+        (state_with_weight(0.75), DEFAULT_REGION, 202,
+         "7dd65604ea431a5bef9b901729d56123d65449855ddb8aa182978ef70c078806"),
+        (state_with_weight(0.5), DEFAULT_REGION, 303,
+         "b1f1aa20fd1c1516186106cee3db737f28b96ad061c3c711c1c05cdb60b6b8e5"),
+        (Spinor(0.6, 0.8j), WIDE_BOX, 404,
+         "2a7fa87c02ae53ccf3caa4c0945f40a0af50d2e0edff589e2db3e0a557bad924"),
+    ],
+)
+def test_batch_golden_digest(phi, region, seed, digest):
+    outcomes, steps = run_collapse_batch(phi, region, seed, 10_000)
+    assert outcome_digest(outcomes, steps) == digest
+
+
+# Pinned single trials: (eigenstate, steps, stream position afterwards);
+# a skipped stream starts its first step at the skipped position.
+@pytest.mark.parametrize(
+    "phi, region, seed, index, skip, expected",
+    [
+        (state_with_weight(0.75), DEFAULT_REGION, 202, 0, 0, (0, 52, 312)),
+        (state_with_weight(0.75), DEFAULT_REGION, 202, 9_999, 0, (0, 755, 4530)),
+        (Spinor(0.6, 0.8j), WIDE_BOX, 404, 17, 0, (1, 234, 1404)),
+        (Spinor(0.6, 0.8j), WIDE_BOX, 404, 17, 5, (0, 73, 443)),
+        (state_with_weight(0.3), WIDE_BOX, 505, 3, 1, (1, 94, 565)),
+    ],
+)
+def test_single_trial_golden(phi, region, seed, index, skip, expected):
+    rng = TrialStream(seed, index)
+    rng.skip(skip)
+    out = run_collapse_trial(phi, region, rng)
+    assert (out.eigenstate, out.steps, rng.position) == expected
 
 
 def test_eigenstate_collapses_to_itself():
