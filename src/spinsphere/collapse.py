@@ -23,9 +23,11 @@ exactly.  Both mechanisms, plus the exact linear-solve oracle for the
 chain, live here.
 
 Sampling is driven by the per-trial streams of `randomness`; a trial
-consumes six uniforms per step (theta, alpha, beta for each source), and
-the box test is performed in CDF space, so batch and single-trial code
-paths produce bit-identical outcomes.
+consumes six draws per step (theta, alpha, beta for each source).  The
+box test never inverts a CDF: theta is tested on the raw 64-bit draw
+against one exact integer range per source, alpha and beta in uniform
+space.  The batch and single-trial paths share one capture kernel, so
+they produce bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import hopf_project, spinor_from_bloch
-from .randomness import TrialStream, derive_keys, uniforms_at
+from .randomness import TrialStream, bits_at, derive_keys, uniforms_at
 from .su2 import Spinor
 
 TWO_PI = 2.0 * math.pi
 _REGION_MAX = math.pi / 8.0
+_TWO53 = 2**53
+# The capture kernel advances trials in blocks of _BLOCK ticks and mixes the
+# theta draws of at most _ROWS trials at a time, so that its two uint64
+# buffers (512 KiB each) stay in a core's L2 cache.
+_BLOCK = 32
+_ROWS = 1024
 
 # Bloch pole and tangent frame of each source chart (the chart is anchored
 # at the source's own eigenstate; eigenstate 0 is the basis state (1, 0)).
@@ -192,34 +200,48 @@ def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class _SourceWindow:
-    """Capture box of one source, expressed in uniform (CDF) space."""
+    """Capture box of one source, as tests on its raw draws.
 
-    theta_intervals: tuple[tuple[float, float], ...]
+    The theta draw b hits when (b - theta_start) mod 2^64 < theta_count
+    (see _theta_bit_range); alpha and beta are tested in uniform space.
+    """
+
+    theta_start: int
+    theta_count: int
     alpha_center: float
     alpha_halfwidth: float
     beta_center: float
     beta_halfwidth: float
 
 
-def _theta_u_intervals(theta_c: float, d_theta: float):
+def _theta_u_interval(theta_c: float, d_theta: float) -> tuple[float, float]:
+    """CDF values (lo, hi) of the box ends; lo > hi when the box wraps."""
     lo, hi = theta_c - d_theta, theta_c + d_theta
     if lo < -math.pi:
-        return (
-            (float(theta_cdf(lo + TWO_PI)), 1.0),
-            (0.0, float(theta_cdf(hi))),
-        )
-    if hi > math.pi:
-        return (
-            (float(theta_cdf(lo)), 1.0),
-            (0.0, float(theta_cdf(hi - TWO_PI))),
-        )
-    return ((float(theta_cdf(lo)), float(theta_cdf(hi))),)
+        lo += TWO_PI
+    elif hi > math.pi:
+        hi -= TWO_PI
+    return float(theta_cdf(lo)), float(theta_cdf(hi))
+
+
+def _theta_bit_range(lo: float, hi: float) -> tuple[int, int]:
+    """Circular range (start, count) of raw draws b whose 1 - u lies in the box.
+
+    u = k 2^-53 with k = b >> 11, so 1 - u = (2^53 - k) 2^-53 is exact and
+    lo <= 1 - u <= hi holds exactly for 2^53 - floor(hi 2^53) <= k <=
+    2^53 - ceil(lo 2^53).  A wrapped box (lo > hi) is the union of
+    [lo, 1] and [0, hi], which join across k = 0 into one circular range.
+    """
+    first = _TWO53 - math.floor(hi * _TWO53)
+    last = min(_TWO53 - math.ceil(lo * _TWO53), _TWO53 - 1)
+    count = last - first + 1 + (_TWO53 if lo > hi else 0)
+    return (first << 11) % 2**64, count << 11
 
 
 def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> _SourceWindow:
     theta_c, alpha_c, beta_c = source_frame_coords(phi, anchor)
     return _SourceWindow(
-        theta_intervals=_theta_u_intervals(theta_c, region.d_theta),
+        *_theta_bit_range(*_theta_u_interval(theta_c, region.d_theta)),
         alpha_center=(math.pi / 2.0 - alpha_c) / math.pi,
         alpha_halfwidth=region.d_alpha / math.pi,
         beta_center=(math.pi - beta_c) / TWO_PI,
@@ -230,13 +252,6 @@ def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> _SourceWi
 def _circ_dist(u, center):
     d = np.abs(u - center) % 1.0
     return np.minimum(d, 1.0 - d)
-
-
-def _theta_hit(u_theta, window: _SourceWindow):
-    hit = np.zeros_like(u_theta, dtype=bool)
-    for lo, hi in window.theta_intervals:
-        hit |= (u_theta >= lo) & (u_theta <= hi)
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +271,63 @@ class CollapseOutcome:
             raise ValueError("eigenstate must be 0 or 1")
 
 
-def _capture_from_uniforms(u6, windows):
-    """Capture flags and tie fractions for one step's six uniforms."""
-    captured = []
-    fractions = []
-    for k, w in enumerate(windows):
-        u_theta = 1.0 - u6[3 * k]
-        ok = bool(_theta_hit(np.asarray(u_theta), w))
-        if ok:
-            ok = bool(_circ_dist(u6[3 * k + 1], w.alpha_center) <= w.alpha_halfwidth)
-        if ok:
-            d_beta = _circ_dist(u6[3 * k + 2], w.beta_center)
-            ok = bool(d_beta <= w.beta_halfwidth)
-            fractions.append(float(d_beta) / w.beta_halfwidth)
-        else:
-            fractions.append(2.0)
-        captured.append(ok)
-    return captured, fractions
+def _run_trials(windows, keys, start, max_steps):
+    """Capture kernel of the batch and single-trial paths.
+
+    Step t (from 0) of the trial on stream keys[r] reads draws
+    start + 6 t + 3 k + (0, 1, 2) as the (theta, alpha, beta) of source k.
+    Returns (eigenstates, steps); a trial without a capture within
+    max_steps keeps eigenstate -1.
+    """
+    n = keys.size
+    eigenstates = np.full(n, -1, dtype=np.int8)
+    steps = np.zeros(n, dtype=np.int64)
+    # Column c of a block is the theta draw of source c % 2 at tick c // 2.
+    source = np.tile(np.arange(2), _BLOCK)
+    offsets = 6 * (np.arange(2 * _BLOCK) // 2) + 3 * source
+    theta_start = np.array([w.theta_start for w in windows], dtype=np.uint64)[source]
+    theta_count = np.array([w.theta_count for w in windows], dtype=np.uint64)[source]
+    alpha_c, alpha_w, beta_c, beta_w = np.array(
+        [(w.alpha_center, w.alpha_halfwidth, w.beta_center, w.beta_halfwidth)
+         for w in windows]
+    ).T
+    bits_buf = np.empty(2 * _BLOCK * min(n, _ROWS), dtype=np.uint64)
+    scratch_buf = np.empty_like(bits_buf)
+    hit_buf = np.empty(2 * _BLOCK * n, dtype=bool)
+    alive = np.arange(n)
+    tick0 = 0
+    while alive.size and tick0 < max_steps:
+        width = 2 * min(_BLOCK, max_steps - tick0)
+        base = start + 6 * tick0
+        alive_keys = keys[alive]
+        hit = hit_buf[: alive.size * width].reshape(alive.size, width)
+        for r0 in range(0, alive.size, _ROWS):
+            rows = min(_ROWS, alive.size - r0)
+            bits = bits_buf[: rows * width].reshape(rows, width)
+            bits_at(alive_keys[r0 : r0 + rows, None], base + offsets[:width],
+                    out=bits, scratch=scratch_buf[: rows * width].reshape(rows, width))
+            np.subtract(bits, theta_start[:width], out=bits)
+            np.less(bits, theta_count[:width], out=hit[r0 : r0 + rows])
+        row, col = np.divmod(np.flatnonzero(hit), width)
+        k, draw = source[col], base + offsets[col]
+        ok = _circ_dist(uniforms_at(alive_keys[row], draw + 1), alpha_c[k]) <= alpha_w[k]
+        row, col, k, draw = row[ok], col[ok], k[ok], draw[ok]
+        d_beta = _circ_dist(uniforms_at(alive_keys[row], draw + 2), beta_c[k])
+        ok = d_beta <= beta_w[k]
+        if ok.any():
+            row, tick, k = row[ok], col[ok] // 2, k[ok]
+            frac = d_beta[ok] / beta_w[k]
+            # First capture per row; on a shared tick the smaller beta
+            # fraction wins and an exact tie goes to source 0.
+            order = np.lexsort((k, frac, tick, row))
+            row, tick, k = row[order], tick[order], k[order]
+            first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            done = row[first]
+            eigenstates[alive[done]] = k[first]
+            steps[alive[done]] = tick0 + tick[first] + 1
+            alive = np.delete(alive, done)
+        tick0 += _BLOCK
+    return eigenstates, steps
 
 
 def run_collapse_trial(
@@ -289,33 +344,23 @@ def run_collapse_trial(
     of the source noise).  The first source whose box contains the state's
     coordinates decides the outcome; if both capture on the same step the
     tie goes to the source whose beta sample is fractionally closer (a
-    fair, draw-free coin).
+    fair, draw-free coin).  The trial consumes six draws of rng per step.
 
     Raises CollapseTimeoutError if no capture occurs within max_steps.
     """
     windows = tuple(_source_window(phi, k, region) for k in (0, 1))
-    trace = [] if record_trace else None
-    for step in range(max_steps):
-        u6 = rng.uniforms(6)
-        if record_trace:
-            trace.append(
-                (
-                    tuple(_uniforms_to_samples(u6[:3])),
-                    tuple(_uniforms_to_samples(u6[3:])),
-                )
-            )
-        captured, fractions = _capture_from_uniforms(u6, windows)
-        if captured[0] or captured[1]:
-            if captured[0] and captured[1]:
-                winner = 0 if fractions[0] <= fractions[1] else 1
-            else:
-                winner = 0 if captured[0] else 1
-            return CollapseOutcome(
-                eigenstate=winner,
-                steps=step + 1,
-                trace=tuple(trace) if record_trace else None,
-            )
-    raise CollapseTimeoutError(f"no capture within {max_steps} steps")
+    start = rng.position
+    eigenstates, steps = _run_trials(windows, np.array([rng.key]), start, max_steps)
+    if eigenstates[0] < 0:
+        rng.skip(6 * max_steps)
+        raise CollapseTimeoutError(f"no capture within {max_steps} steps")
+    n = int(steps[0])
+    rng.skip(6 * n)
+    trace = None
+    if record_trace:
+        u = uniforms_at(rng.key, start + np.arange(6 * n)).reshape(n, 2, 3)
+        trace = tuple((tuple(s[0]), tuple(s[1])) for s in _uniforms_to_samples(u))
+    return CollapseOutcome(eigenstate=int(eigenstates[0]), steps=n, trace=trace)
 
 
 def run_collapse_batch(
@@ -324,78 +369,30 @@ def run_collapse_batch(
     seed: int,
     n_trials: int,
     max_steps: int = 1_000_000,
-    block: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run n_trials independent trials; returns (eigenstates, steps).
 
     Trial i draws from the stream derived from (seed, i), exactly as a
     run_collapse_trial call with TrialStream(seed, i) would, so the two
-    code paths agree bit for bit.  Internally the trials advance in tick
-    blocks, and only the draws that can affect an outcome are evaluated
-    (the streams are counter-based, so skipping draws is free).
+    code paths agree bit for bit.  The trials advance in blocks of ticks.
+    Each block tests the theta draws of both sources on their raw 64-bit
+    values against one integer range per source, with no float
+    conversion.  Only at the theta hits are the alpha and beta draws
+    evaluated (the streams are counter-based, so skipping draws is free),
+    and one sort of the sparse captures picks each trial's first.
 
     Raises CollapseTimeoutError if any trial fails to terminate within
     max_steps.
     """
     windows = tuple(_source_window(phi, k, region) for k in (0, 1))
     keys = derive_keys(seed, np.arange(n_trials))
-    outcomes = np.full(n_trials, -1, dtype=np.int8)
-    steps = np.zeros(n_trials, dtype=np.int64)
-    alive = np.arange(n_trials)
-    tick0 = 0
-    while alive.size and tick0 < max_steps:
-        t_block = min(block, max_steps - tick0)
-        cols = np.arange(t_block, dtype=np.int64)
-        draw_base = 6 * (tick0 + cols)[None, :]
-        keys_a = keys[alive][:, None]
-        capture = np.zeros((alive.size, t_block, 2), dtype=bool)
-        beta_frac = np.full((alive.size, t_block, 2), 2.0)
-        for k, w in enumerate(windows):
-            u_theta = 1.0 - uniforms_at(keys_a, draw_base + 3 * k)
-            rows, hit_cols = np.nonzero(_theta_hit(u_theta, w))
-            if rows.size == 0:
-                continue
-            sub_keys = keys[alive][rows]
-            sub_base = draw_base[0, hit_cols] + 3 * k
-            u_alpha = uniforms_at(sub_keys, sub_base + 1)
-            ok = _circ_dist(u_alpha, w.alpha_center) <= w.alpha_halfwidth
-            rows, hit_cols, sub_keys, sub_base = (
-                rows[ok],
-                hit_cols[ok],
-                sub_keys[ok],
-                sub_base[ok],
-            )
-            if rows.size == 0:
-                continue
-            u_beta = uniforms_at(sub_keys, sub_base + 2)
-            d_beta = _circ_dist(u_beta, w.beta_center)
-            ok = d_beta <= w.beta_halfwidth
-            capture[rows[ok], hit_cols[ok], k] = True
-            beta_frac[rows[ok], hit_cols[ok], k] = (
-                d_beta[ok] / w.beta_halfwidth
-            )
-        any_capture = capture.any(axis=2)
-        has = any_capture.any(axis=1)
-        if has.any():
-            first = any_capture[has].argmax(axis=1)
-            row_ids = np.nonzero(has)[0]
-            cap_pair = capture[row_ids, first]
-            frac_pair = beta_frac[row_ids, first]
-            winner = np.where(
-                cap_pair[:, 0] & cap_pair[:, 1],
-                np.where(frac_pair[:, 0] <= frac_pair[:, 1], 0, 1),
-                np.where(cap_pair[:, 0], 0, 1),
-            )
-            done = alive[row_ids]
-            outcomes[done] = winner.astype(np.int8)
-            steps[done] = tick0 + first + 1
-            alive = alive[~has]
-        tick0 += t_block
-    if alive.size:
+    eigenstates, steps = _run_trials(windows, keys, 0, max_steps)
+    left = int(np.count_nonzero(eigenstates < 0))
+    if left:
         raise CollapseTimeoutError(
-            f"{alive.size} of {n_trials} trials exceeded {max_steps} steps"
+            f"{left} of {n_trials} trials exceeded {max_steps} steps"
         )
-    return outcomes, steps
+    return eigenstates, steps
 
 
 def born_statistics(outcomes: np.ndarray, expected_p0: float) -> dict:

@@ -3,7 +3,7 @@
 Every Monte Carlo trial in this package draws from its own stream, derived
 purely from (master seed, trial index).  A draw is a pure function
 
-    u(seed, trial, j) = mix64(key(seed, trial) + (j + 1) * GOLDEN) / 2^53,
+    u(seed, trial, j) = (mix64(key(seed, trial) + (j + 1) * GOLDEN) >> 11) / 2^53,
 
 where mix64 is the SplitMix64 output permutation, so trial i's stream is
 exactly a SplitMix64 sequence seeded with key(seed, i).  Because no
@@ -28,13 +28,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 values (wraps modulo 2^64)."""
+def mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """SplitMix64 finalizer on uint64 values (wraps modulo 2^64).
+
+    With `out` (which may be z itself) and `scratch` arrays of z's shape it
+    works in place and allocates nothing.
+    """
     z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z = np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=scratch), out=out)
+        z = np.multiply(z, _MIX1, out=out)
+        z = np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=scratch), out=out)
+        z = np.multiply(z, _MIX2, out=out)
+        return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=out)
 
 
 def derive_keys(seed: int, trial_indices) -> np.ndarray:
@@ -45,16 +51,25 @@ def derive_keys(seed: int, trial_indices) -> np.ndarray:
         return mix64(mix64(base + GOLDEN) ^ mix64((idx + np.uint64(1)) * GOLDEN))
 
 
-def uniforms_at(keys: np.ndarray, draw_indices) -> np.ndarray:
-    """Uniform [0, 1) draws at absolute positions of the keyed streams.
+def bits_at(keys: np.ndarray, draw_indices, out=None, scratch=None) -> np.ndarray:
+    """Raw 64-bit draws mix64(key + (j + 1) * GOLDEN) of the keyed streams.
 
-    `keys` and `draw_indices` broadcast against each other; entry j of a
-    stream is mix64(key + (j + 1) * GOLDEN) mapped to the unit interval.
+    `keys` and `draw_indices` broadcast against each other; `out` and
+    `scratch` of the broadcast shape make it allocate nothing (see mix64).
     """
     j = np.asarray(draw_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        bits = mix64(keys + (j + np.uint64(1)) * GOLDEN)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53
+        z = np.add(keys, (j + np.uint64(1)) * GOLDEN, out=out)
+    return mix64(z, out=out, scratch=scratch)
+
+
+def uniforms_at(keys: np.ndarray, draw_indices) -> np.ndarray:
+    """Uniform [0, 1) draws at absolute positions of the keyed streams.
+
+    Entry j of a stream is its raw draw bits_at(key, j) mapped to the unit
+    interval by its top 53 bits: u = (bits >> 11) * 2^-53.
+    """
+    return (bits_at(keys, draw_indices) >> np.uint64(11)).astype(np.float64) * _U53
 
 
 class TrialStream:

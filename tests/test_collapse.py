@@ -35,7 +35,15 @@ from spinsphere.collapse import (
     theta_cdf,
     theta_pdf,
 )
-from spinsphere.randomness import TrialStream
+from spinsphere.collapse import (
+    _circ_dist,
+    _run_trials,
+    _source_window,
+    _SourceWindow,
+    _theta_bit_range,
+    _theta_u_interval,
+)
+from spinsphere.randomness import TrialStream, derive_keys, uniforms_at
 from spinsphere.su2 import Spinor
 
 N_BIG = 100_000
@@ -290,6 +298,139 @@ def test_single_trial_golden(phi, region, seed, index, skip, expected):
     rng.skip(skip)
     out = run_collapse_trial(phi, region, rng)
     assert (out.eigenstate, out.steps, rng.position) == expected
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle of the capture kernel
+# ---------------------------------------------------------------------------
+
+def _theta_hit(u_theta, lo, hi):
+    """Float box test of u_theta = 1 - u; the box wraps when lo > hi."""
+    if lo > hi:
+        return u_theta >= lo or u_theta <= hi
+    return lo <= u_theta <= hi
+
+
+def _capture_from_uniforms(u6, windows):
+    """Capture flags and tie fractions for one step's six uniforms.
+
+    windows holds, per source, the CDF interval (lo, hi) of its theta box
+    and its _SourceWindow for alpha and beta.
+    """
+    captured = []
+    fractions = []
+    for k, ((lo, hi), w) in enumerate(windows):
+        ok = _theta_hit(1.0 - u6[3 * k], lo, hi)
+        if ok:
+            ok = bool(_circ_dist(u6[3 * k + 1], w.alpha_center) <= w.alpha_halfwidth)
+        if ok:
+            d_beta = _circ_dist(u6[3 * k + 2], w.beta_center)
+            ok = bool(d_beta <= w.beta_halfwidth)
+            fractions.append(float(d_beta) / w.beta_halfwidth)
+        else:
+            fractions.append(2.0)
+        captured.append(ok)
+    return captured, fractions
+
+
+def oracle_trial(windows, rng, max_steps):
+    """(eigenstate, steps) of one trial, one step at a time; None on timeout."""
+    for step in range(max_steps):
+        captured, fractions = _capture_from_uniforms(rng.uniforms(6), windows)
+        if captured[0] and captured[1]:
+            return (0 if fractions[0] <= fractions[1] else 1), step + 1
+        if captured[0] or captured[1]:
+            return (0 if captured[0] else 1), step + 1
+    return None
+
+
+def oracle_windows(phi, region):
+    return [
+        (
+            _theta_u_interval(source_frame_coords(phi, k)[0], region.d_theta),
+            _source_window(phi, k, region),
+        )
+        for k in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "phi, region",
+    [
+        (Spinor(1, 0), DEFAULT_REGION),
+        (Spinor(0, 1), DEFAULT_REGION),
+        (Spinor(1, 0), WIDE_BOX),
+        (Spinor(0, 1), WIDE_BOX),
+        (state_with_weight(0.3), WIDE_BOX),
+        (Spinor(0.6, 0.8j), WIDE_BOX),
+        (Spinor(0.5 - 0.5j, -0.7), CaptureRegion(math.pi / 8, 0.2, 0.3)),
+    ],
+)
+def test_kernel_matches_scalar_oracle(phi, region):
+    windows = oracle_windows(phi, region)
+    out, steps = run_collapse_batch(phi, region, seed=606, n_trials=40)
+    for i in range(40):
+        expected = oracle_trial(windows, TrialStream(606, i), 1_000_000)
+        assert (int(out[i]), int(steps[i])) == expected
+
+
+@pytest.mark.parametrize("beta_offset, winner", [(0.0, 0), (0.5, 1)])
+def test_kernel_same_tick_tie(beta_offset, winner):
+    # Both sources capture at tick 5 of stream 1 and at no earlier tick:
+    # each theta box is the single point 1 - u of that tick's draw.  With
+    # equal beta fractions source 0 wins; a smaller fraction for source 1
+    # (source 0's beta sits beta_offset half-widths off centre) wins for 1.
+    keys = derive_keys(707, np.arange(3))
+    tick = 5
+    u = uniforms_at(keys[1], 6 * tick + np.arange(6))
+    halfwidth = 1e-3
+    windows = []
+    for k in (0, 1):
+        interval = (1.0 - u[3 * k], 1.0 - u[3 * k])
+        beta_center = u[3 * k + 2] - (beta_offset * halfwidth if k == 0 else 0.0)
+        window = _SourceWindow(
+            *_theta_bit_range(*interval),
+            alpha_center=u[3 * k + 1],
+            alpha_halfwidth=halfwidth,
+            beta_center=beta_center,
+            beta_halfwidth=halfwidth,
+        )
+        windows.append((interval, window))
+    out, steps = _run_trials([w for _, w in windows], keys, 0, tick + 10)
+    assert out.tolist() == [-1, winner, -1]
+    assert steps[1] == tick + 1
+    stream = TrialStream(707, 1)
+    assert oracle_trial(windows, stream, tick + 10) == (winner, tick + 1)
+
+
+def _bit_range_member(b, start, count):
+    return (b - start) % 2**64 < count
+
+
+def _float_member(b, lo, hi):
+    return _theta_hit(1.0 - (b >> 11) * 2.0**-53, lo, hi)
+
+
+def test_theta_bit_range_boundaries():
+    rng = np.random.default_rng(808)
+    grid = [int(k) * 2.0**-53 for k in rng.integers(0, 2**53, size=40)]
+    windows = [(0.0, 0.3), (0.0, 0.0), (0.7, 1.0), (1.0, 1.0), (1.0, 0.3),
+               (0.7, 0.0), (0.3, 0.3), (grid[0], grid[0])]
+    windows += [tuple(rng.random(2)) for _ in range(100)]
+    windows += [tuple(theta_cdf(rng.uniform(-math.pi, math.pi, 2))) for _ in range(100)]
+    windows += list(zip(grid[1::2], grid[2::2]))
+    for theta_c in rng.uniform(-math.pi, math.pi, 100):
+        windows.append(_theta_u_interval(theta_c, rng.uniform(1e-6, math.pi / 8)))
+    for lo, hi in windows:
+        lo, hi = float(lo), float(hi)
+        start, count = _theta_bit_range(lo, hi)
+        first, last = start, (start + count - 1) % 2**64
+        probes = [first - 1, first, last, last + 1]
+        probes += [int(b) for b in rng.integers(0, 2**64, size=20, dtype=np.uint64)]
+        for b in probes:
+            b %= 2**64
+            assert _bit_range_member(b, start, count) == _float_member(b, lo, hi), (
+                lo, hi, b)
 
 
 def test_eigenstate_collapses_to_itself():
