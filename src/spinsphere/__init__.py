@@ -57,7 +57,6 @@ from .collapse import (
     CollapseOutcome,
     CollapseTimeoutError,
     MarkovChainModel,
-    SourceProcess,
     absorption_probabilities,
     born_statistics,
     build_markov_chain,

@@ -1,19 +1,21 @@
 """Command-line front end: named experiments with seeded, reproducible output.
 
 Usage:
-    spinsphere EXPERIMENT [--config FILE] [--seed N] [--trials N]
-               [--out DIR] [per-experiment flags]
+    spinsphere EXPERIMENT [--config FILE] [--out DIR] [--KEY VALUE ...]
 
 Each run writes <experiment>_report.json (metrics, thresholds, pass flags,
 and the fully resolved configuration, so any result can be re-run from its
 own report) plus CSV data files <experiment>_<index>.csv into the output
 directory, and prints a one-line pass/fail summary.  Exit status: 0 pass,
-1 threshold failure, 2 usage or configuration error.
+1 threshold failure, 2 usage or configuration error, 3 no convergence (a
+collapse trial or walk hit its step limit, or the lens search failed).
 
+Each configuration key is one entry of PARAMS (type, default, valid range,
+help), which builds the --key-with-dashes flags listed by `spinsphere
+--help`, reads and checks configuration files, and fills the config echo.
 Configuration files are flat KEY=VALUE text ('#' comments allowed);
 command-line flags override file values.  All quantities are in Planck
-units; mu, B, and hbar are individually settable for dimension-tracking
-runs.
+units; mu, B, and hbar are individually settable for dimension-tracking runs.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bloch import energy_uncertainty, hopf_project, uncertainty_margin
 from .collapse import (
     CaptureRegion,
+    CollapseTimeoutError,
     absorption_probabilities,
     born_statistics,
     build_markov_chain,
@@ -43,47 +47,54 @@ from .evolution import (
     integrate_numeric,
     speed_along,
 )
-from .lens import RayState, design_lens, integrate_ray, ray_energy
+from .lens import LensSearchError, RayState, design_lens, integrate_ray, ray_energy
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
 from .su2 import AlgebraElement, Spinor, killing_inner
 
-EXPERIMENTS = (
-    "evolve",
-    "bloch",
-    "curvature",
-    "uncertainty",
-    "born",
-    "markov",
-    "lens",
-    "epr",
-    "e2-split",
-)
 
-DEFAULTS = {
-    "seed": 42,
-    "trials": 20_000,
-    "c1sq": 0.5,
-    "a_sq": 0.5,
-    # t_final resolves per experiment: 1.0 for evolve/bloch, a quarter
-    # turn (pi/4)(hbar/(mu B)) for e2-split.
-    "t_final": None,
-    "dt": 1e-3,
-    "bx": 0.0,
-    "by": 0.0,
-    "bz": 1.0,
-    "b0": 1.0,
-    "mu": 1.0,
-    "hbar": 1.0,
-    "planes": 100,
-    "states": 10_000,
-    "delta_grid": 60,
-    "region_width": math.pi / 48.0,
-    "region_alpha": math.pi / 8.0,
-    "region_beta": math.pi / 8.0,
-    "displacement": 0.1,
-    "span": 1.0,
-    "outcomes_csv": 0,
+class Param(NamedTuple):
+    """One configuration key.  `check` is (predicate, rule), left out where a
+    library constructor already rejects bad values (CaptureRegion,
+    FieldParams, build_markov_chain).  A `switch` is a no-value flag that sets 1."""
+
+    type: type
+    default: object
+    help: str
+    check: tuple[Callable[[object], bool], str] | None = None
+    switch: bool = False
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+
+PARAMS = {
+    "seed": Param(int, 42, "base seed of every random stream"),
+    "trials": Param(int, 20_000, "collapse trials, or walks per start (markov)", _POSITIVE),
+    "c1sq": Param(float, 0.5, "weight |c1|^2 of the first eigenstate", _UNIT),
+    "a_sq": Param(float, 0.5, "weight of the (+,-) branch of the EPR pair", _UNIT),
+    "t_final": Param(float, None, "evolution time; by default 1.0, and a quarter turn "
+                     "(pi/4)(hbar/(mu b0)) for e2-split", _POSITIVE),
+    "dt": Param(float, 1e-3, "integrator step; runs take max(round(t_final/dt), 4) "
+                "equal steps that end at t_final", _POSITIVE),
+    "bx": Param(float, 0.0, "field component B_x (evolve, bloch)"),
+    "by": Param(float, 0.0, "field component B_y (evolve, bloch)"),
+    "bz": Param(float, 1.0, "field component B_z (evolve, bloch)"),
+    "b0": Param(float, 1.0, "field strength along -Y (e2-split)",
+                (lambda v: v != 0, "must be nonzero")),
+    "mu": Param(float, 1.0, "magnetic moment, nonzero"),
+    "hbar": Param(float, 1.0, "reduced Planck constant, positive"),
+    "planes": Param(int, 100, "random planes besides the 3 basis planes (curvature)",
+                    (lambda v: v >= 0, "must be >= 0")),
+    "states": Param(int, 10_000, "random states (uncertainty)", _POSITIVE),
+    "delta_grid": Param(int, 60, "intervals m >= 2 of the absorbing chain on [0, pi]"),
+    "region_width": Param(float, math.pi / 48.0, "capture half-width in theta, in (0, pi/8]"),
+    "region_alpha": Param(float, math.pi / 8.0, "capture half-width in alpha, in (0, pi/8]"),
+    "region_beta": Param(float, math.pi / 8.0, "capture half-width in beta, in (0, pi/8]"),
+    "displacement": Param(float, 0.1, "lens target offset across the initial ray"),
+    "span": Param(float, 1.0, "lens target distance along the initial ray"),
+    "outcomes_csv": Param(int, 0, "also write per-trial outcome rows (born)",
+                          (lambda v: v in (0, 1), "must be 0 or 1"), switch=True),
 }
 
 
@@ -104,29 +115,30 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected KEY=VALUE, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in PARAMS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _parse_value(value)
+        cast = PARAMS[key].type
+        try:
+            values[key] = cast(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{line_no}: {key} must be {cast.__name__}, got {value!r}"
+            ) from None
     return values
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+    """Defaults, then the config file, then flags; then each key's check."""
+    cfg = {key: param.default for key, param in PARAMS.items()}
     if args.config:
         cfg.update(parse_config_file(args.config))
-    for key in DEFAULTS:
-        override = getattr(args, key, None)
+    for key, param in PARAMS.items():
+        override = getattr(args, key)
         if override is not None:
             cfg[key] = override
+        value = cfg[key]
+        if param.check and value is not None and not param.check[0](value):
+            raise ConfigError(f"{key} {param.check[1]}, got {value}")
     return cfg
 
 
@@ -135,9 +147,16 @@ def _region(cfg) -> CaptureRegion:
 
 
 def _weighted_state(c1_sq: float) -> Spinor:
-    if not 0.0 <= c1_sq <= 1.0:
-        raise ConfigError("c1sq must lie in [0, 1]")
     return Spinor(math.sqrt(c1_sq), math.sqrt(1.0 - c1_sq))
+
+
+def _trajectory(cfg, phi0: Spinor, params: FieldParams, t_default: float):
+    """Integrate phi0 up to t_final (set to t_default when unset) in
+    max(round(t_final / dt), 4) equal steps, so short runs end at t_final, not 4 dt."""
+    if cfg["t_final"] is None:
+        cfg["t_final"] = t_default
+    n_steps = max(round(cfg["t_final"] / cfg["dt"]), 4)
+    return integrate_numeric(phi0, params, cfg["t_final"] / n_steps, n_steps)
 
 
 def _finish(report: dict, out_dir: Path, experiment: str) -> int:
@@ -169,10 +188,7 @@ def _trajectory_rows(traj):
 def run_evolve(cfg, out_dir: Path) -> dict:
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
-    if cfg["t_final"] is None:
-        cfg["t_final"] = 1.0
-    n_steps = max(int(round(cfg["t_final"] / cfg["dt"])), 4)
-    traj = integrate_numeric(phi0, params, cfg["dt"], n_steps)
+    traj = _trajectory(cfg, phi0, params, 1.0)
     exact = evolve_exact(phi0, params, float(traj.times[-1]))
     terminal_error = float(np.abs(traj.states[-1] - exact.vector).max())
     speed_dev = float(np.abs(speed_along(traj) - evolution_speed(params)).max())
@@ -205,10 +221,7 @@ def run_evolve(cfg, out_dir: Path) -> dict:
 def run_bloch(cfg, out_dir: Path) -> dict:
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
-    if cfg["t_final"] is None:
-        cfg["t_final"] = 1.0
-    n_steps = max(int(round(cfg["t_final"] / cfg["dt"])), 4)
-    traj = integrate_numeric(phi0, params, cfg["dt"], n_steps)
+    traj = _trajectory(cfg, phi0, params, 1.0)
     points = [hopf_project(traj.spinor(i)).vector for i in range(len(traj))]
     norm_dev = float(max(abs(np.linalg.norm(p) - 1.0) for p in points))
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
@@ -238,7 +251,7 @@ def run_curvature(cfg, out_dir: Path) -> dict:
     worst_sectional = 0.0
     basis = [AlgebraElement.basis(k) for k in range(3)]
     pairs = [(basis[0], basis[1]), (basis[1], basis[2]), (basis[2], basis[0])]
-    for _ in range(int(cfg["planes"])):
+    for _ in range(cfg["planes"]):
         x = AlgebraElement.from_coords(rng.normal(size=3, scale=2.0))
         y = AlgebraElement.from_coords(rng.normal(size=3, scale=2.0))
         pairs.append((x, y))
@@ -270,9 +283,8 @@ def run_curvature(cfg, out_dir: Path) -> dict:
 
 def run_uncertainty(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
-    n_states = int(cfg["states"])
     worst_margin = math.inf
-    for _ in range(n_states):
+    for _ in range(cfg["states"]):
         r = rng.normal(size=4)
         phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
         worst_margin = min(worst_margin, uncertainty_margin(phi))
@@ -310,9 +322,7 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
 
 def run_born(cfg, out_dir: Path) -> dict:
     phi = _weighted_state(cfg["c1sq"])
-    outcomes, steps = run_collapse_batch(
-        phi, _region(cfg), int(cfg["seed"]), int(cfg["trials"])
-    )
+    outcomes, steps = run_collapse_batch(phi, _region(cfg), cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, cfg["c1sq"])
     if cfg["outcomes_csv"]:
         write_csv(
@@ -332,18 +342,17 @@ def run_born(cfg, out_dir: Path) -> dict:
 
 
 def run_markov(cfg, out_dir: Path) -> dict:
-    m = int(cfg["delta_grid"])
+    m = cfg["delta_grid"]
     chain = build_markov_chain(m)
     exact = absorption_probabilities(chain)
     closed = np.cos(chain.thetas / 2.0) ** 2
     oracle_error = float(np.abs(exact - closed).max())
-    starts = sorted({max(1, (m * k) // 6) for k in range(1, 6)} | ({m // 3} if m % 3 == 0 else set()))
-    starts = [s for s in starts if 0 < s < m]
-    n_walks = int(cfg["trials"])
+    starts = sorted({max(1, (m * k) // 6) for k in range(1, 6)})
+    n_walks = cfg["trials"]
     mc_freq = {}
     z_worst = 0.0
     for start in starts:
-        absorbed, _ = run_ruin_walks(chain, start, int(cfg["seed"]) + start, n_walks)
+        absorbed, _ = run_ruin_walks(chain, start, cfg["seed"] + start, n_walks)
         freq = float(absorbed.mean())
         mc_freq[start] = freq
         sigma = math.sqrt(max(exact[start] * (1 - exact[start]), 1e-12) / n_walks)
@@ -397,11 +406,9 @@ def run_lens(cfg, out_dir: Path) -> dict:
 
 def run_epr(cfg, out_dir: Path) -> dict:
     a_sq = cfg["a_sq"]
-    if not 0.0 <= a_sq <= 1.0:
-        raise ConfigError("a_sq must lie in [0, 1]")
     state = SingletSectorState(math.sqrt(a_sq), math.sqrt(1.0 - a_sq))
-    records = run_epr_batch(state, int(cfg["seed"]), int(cfg["trials"]), _region(cfg))
-    stats = epr_statistics(records, int(cfg["seed"]))
+    records = run_epr_batch(state, cfg["seed"], cfg["trials"], _region(cfg))
+    stats = epr_statistics(records, cfg["seed"])
     freq = stats["counts_plus_minus"] / stats["n_trials"]
     sigma = math.sqrt(max(a_sq * (1 - a_sq), 1e-12) / stats["n_trials"])
     z = (freq - a_sq) / sigma if sigma > 0 else 0.0
@@ -421,18 +428,12 @@ def run_e2_split(cfg, out_dir: Path) -> dict:
     # superposition, which the measurement then splits 50/50.
     b0 = cfg["b0"]
     params = FieldParams((0.0, -b0, 0.0), cfg["mu"], cfg["hbar"])
-    if cfg["t_final"] is None:
-        cfg["t_final"] = (math.pi / 4.0) * cfg["hbar"] / (cfg["mu"] * b0)
-    t_final = cfg["t_final"]
-    n_steps = max(int(round(t_final / cfg["dt"])), 4)
-    dt = t_final / n_steps
-    traj = integrate_numeric(Spinor(1.0, 0.0), params, dt, n_steps)
-    terminal = evolve_exact(Spinor(1.0, 0.0), params, t_final)
+    quarter_turn = (math.pi / 4.0) * cfg["hbar"] / (cfg["mu"] * b0)
+    traj = _trajectory(cfg, Spinor(1.0, 0.0), params, quarter_turn)
+    terminal = evolve_exact(Spinor(1.0, 0.0), params, cfg["t_final"])
     target = np.array([1.0, 1.0]) / math.sqrt(2.0)
     split_error = float(np.abs(terminal.vector - target).max())
-    outcomes, steps = run_collapse_batch(
-        terminal, _region(cfg), int(cfg["seed"]), int(cfg["trials"])
-    )
+    outcomes, steps = run_collapse_batch(terminal, _region(cfg), cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, 0.5)
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
     write_csv(
@@ -473,47 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinsphere",
         description="Seeded experiments on the geometry of two-level quantum states.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", default=None, help="flat KEY=VALUE file")
+    parser.add_argument("experiment", choices=RUNNERS)
+    parser.add_argument("--config", help="flat KEY=VALUE file; flags override it")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--c1sq", type=float, default=None)
-    parser.add_argument("--a-sq", dest="a_sq", type=float, default=None)
-    parser.add_argument("--t-final", dest="t_final", type=float, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--bx", type=float, default=None)
-    parser.add_argument("--by", type=float, default=None)
-    parser.add_argument("--bz", type=float, default=None)
-    parser.add_argument("--b0", type=float, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--hbar", type=float, default=None)
-    parser.add_argument("--planes", type=int, default=None)
-    parser.add_argument("--states", type=int, default=None)
-    parser.add_argument("--delta-grid", dest="delta_grid", type=int, default=None)
-    parser.add_argument(
-        "--region-width", dest="region_width", type=float, default=None
-    )
-    parser.add_argument(
-        "--region-alpha", dest="region_alpha", type=float, default=None
-    )
-    parser.add_argument(
-        "--region-beta", dest="region_beta", type=float, default=None
-    )
-    parser.add_argument(
-        "--outcomes-csv",
-        dest="outcomes_csv",
-        action="store_const",
-        const=1,
-        default=None,
-        help="also write per-trial outcome rows",
-    )
+    for key, param in PARAMS.items():
+        flag = "--" + key.replace("_", "-")
+        if param.switch:
+            parser.add_argument(flag, action="store_const", const=1, help=param.help)
+            continue
+        default = "" if param.default is None else f" (default: {param.default})"
+        parser.add_argument(flag, type=param.type, help=param.help + default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         out_dir = Path(args.out)
@@ -522,12 +497,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "experiment": args.experiment,
-        "seed": int(cfg["seed"]),
-        "config": cfg,
-        **body,
-    }
+    except (CollapseTimeoutError, LensSearchError) as exc:
+        print(f"did not converge: {exc}", file=sys.stderr)
+        return 3
+    report = {"experiment": args.experiment, "seed": cfg["seed"], "config": cfg, **body}
     return _finish(report, out_dir, args.experiment)
 
 

@@ -96,22 +96,6 @@ def invert_theta_cdf(u):
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class SourceProcess:
-    """White-noise source anchored at one eigenstate (index 0 or 1).
-
-    Successive samples are independent; the theta marginal has density
-    (1/pi) cos^2(theta/2) in the chart centered on the anchor, alpha and
-    beta are uniform over their ranges.
-    """
-
-    anchor: int
-
-    def __post_init__(self):
-        if self.anchor not in (0, 1):
-            raise ValueError("anchor must be 0 or 1")
-
-
 def _uniforms_to_samples(u: np.ndarray) -> np.ndarray:
     """Map raw uniforms (..., 3) to (theta, alpha, beta) samples."""
     theta = invert_theta_cdf(1.0 - u[..., 0])
@@ -120,13 +104,19 @@ def _uniforms_to_samples(u: np.ndarray) -> np.ndarray:
     return np.stack([theta, alpha, beta], axis=-1)
 
 
-def sample_source(s: SourceProcess, rng: TrialStream) -> tuple[float, float, float]:
-    """Draw one (theta, alpha, beta) position of the source."""
+def sample_source(rng: TrialStream) -> tuple[float, float, float]:
+    """Draw one (theta, alpha, beta) position of a source, in the chart
+    centered on its eigenstate.
+
+    Successive samples are independent; theta has density
+    (1/pi) cos^2(theta/2), alpha and beta are uniform over their ranges.
+    Both sources share this law, so no argument names the source.
+    """
     sample = _uniforms_to_samples(rng.uniforms(3))
     return float(sample[0]), float(sample[1]), float(sample[2])
 
 
-def sample_source_many(s: SourceProcess, rng: TrialStream, n: int) -> np.ndarray:
+def sample_source_many(rng: TrialStream, n: int) -> np.ndarray:
     """Draw n positions, shape (n, 3); same stream semantics as sample_source."""
     return _uniforms_to_samples(rng.uniforms(3 * n).reshape(n, 3))
 

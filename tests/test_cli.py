@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from spinsphere import cli
 from spinsphere.cli import main, parse_config_file, resolve_config, build_parser
+from spinsphere.collapse import CollapseTimeoutError
+from spinsphere.lens import LensSearchError
 from spinsphere.reports import write_csv
 
 
@@ -62,6 +65,57 @@ def test_invalid_value_exits_2(tmp_path):
     assert run_cli(["born", "--c1sq", "1.5", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["born", "--trials", "0"], None),
+        (["epr", "--trials", "0"], None),
+        (["markov", "--trials", "0"], None),
+        (["evolve", "--dt", "0"], None),
+        (["curvature", "--planes", "-1"], None),
+        (["uncertainty", "--states", "0"], None),
+        (["born"], "trials=2.5\n"),
+        (["born"], "c1sq=abc\n"),
+    ],
+    ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
+         "uncertainty-states", "config-trials", "config-c1sq"],
+)
+def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, target, error",
+    [
+        ("born", "run_collapse_batch", CollapseTimeoutError("1 of 1 trials exceeded 9 steps")),
+        ("lens", "design_lens", LensSearchError("no (A, w) reached miss < 1e-3")),
+    ],
+)
+def test_non_convergence_exits_3(tmp_path, capsys, monkeypatch, experiment, target, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    assert run_cli([experiment, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"did not converge: {error}\n"
+
+
+def test_evolve_ends_at_t_final(tmp_path):
+    # t_final < 4 dt: four steps of t_final / 4, not four steps of dt.
+    assert run_cli(["evolve", "--t-final", "0.001", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "evolve_0.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
+    assert float(rows[-1].split(",")[0]) == 0.001
+
+
 def test_threshold_failure_exits_1(tmp_path):
     # Wrong evolution time: terminal state misses the equal superposition.
     code = run_cli(
@@ -108,6 +162,16 @@ def test_config_file_and_override_precedence(tmp_path):
     assert resolved["c1sq"] == 0.75  # flag wins
     assert resolved["trials"] == 3000  # file wins over default
     assert resolved["seed"] == 9
+    # Flags and config files cast alike: an integer literal for a float
+    # key echoes as a float either way.
+    lens_cfg = tmp_path / "lens.cfg"
+    lens_cfg.write_text("span=1\ndisplacement=0.05\n")
+    by_flag, by_file = tmp_path / "lens_flag", tmp_path / "lens_file"
+    argv = ["lens", "--span", "1", "--displacement", "0.05"]
+    assert run_cli([*argv, "--out", str(by_flag)]) == 0
+    assert run_cli(["lens", "--config", str(lens_cfg), "--out", str(by_file)]) == 0
+    assert read_bytes_map(by_flag) == read_bytes_map(by_file)
+    assert '"span": 1.0,' in (by_file / "lens_report.json").read_text()
 
 
 def test_report_embeds_rerunnable_config(tmp_path):

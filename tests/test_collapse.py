@@ -21,7 +21,6 @@ from spinsphere.collapse import (
     CaptureRegion,
     CollapseOutcome,
     CollapseTimeoutError,
-    SourceProcess,
     born_statistics,
     capture_probability,
     delta_distance_sq,
@@ -86,13 +85,13 @@ def test_expected_cosine_is_half():
 # ---------------------------------------------------------------------------
 
 def test_sampler_ks_at_scale():
-    samples = sample_source_many(SourceProcess(0), TrialStream(101, 0), N_BIG)
+    samples = sample_source_many(TrialStream(101, 0), N_BIG)
     statistic = stats.kstest(samples[:, 0], theta_cdf).statistic
     assert statistic < KS_CRIT / math.sqrt(N_BIG)
 
 
 def test_sampler_chi_square_binned():
-    samples = sample_source_many(SourceProcess(0), TrialStream(353, 0), N_BIG)
+    samples = sample_source_many(TrialStream(353, 0), N_BIG)
     edges = np.linspace(-math.pi, math.pi, 41)
     counts, _ = np.histogram(samples[:, 0], bins=edges)
     expected = np.diff(theta_cdf(edges)) * N_BIG
@@ -101,7 +100,7 @@ def test_sampler_chi_square_binned():
 
 
 def test_sampler_median_and_mean():
-    samples = sample_source_many(SourceProcess(0), TrialStream(57, 0), N_BIG)
+    samples = sample_source_many(TrialStream(57, 0), N_BIG)
     theta = samples[:, 0]
     # Median of the law is 0 (F(0) = 1/2); sigma_median = 1/(2 f(0) sqrt N).
     med_sigma = math.pi / (2.0 * math.sqrt(N_BIG))
@@ -112,7 +111,7 @@ def test_sampler_median_and_mean():
 
 
 def test_sampler_uniform_marginals():
-    samples = sample_source_many(SourceProcess(1), TrialStream(58, 0), N_BIG)
+    samples = sample_source_many(TrialStream(58, 0), N_BIG)
     alpha, beta = samples[:, 1], samples[:, 2]
     assert alpha.min() > -math.pi / 2 - 1e-12 and alpha.max() <= math.pi / 2 + 1e-12
     assert beta.min() > -math.pi - 1e-12 and beta.max() <= math.pi + 1e-12
@@ -123,7 +122,7 @@ def test_sampler_uniform_marginals():
 
 
 def test_sampler_lag1_uncorrelated():
-    theta = sample_source_many(SourceProcess(0), TrialStream(59, 0), N_BIG)[:, 0]
+    theta = sample_source_many(TrialStream(59, 0), N_BIG)[:, 0]
     x = theta - theta.mean()
     r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert abs(r1) < 3.0 / math.sqrt(N_BIG)
@@ -141,8 +140,8 @@ def test_sources_independent():
 
 
 def test_sample_source_single_matches_many():
-    single = sample_source(SourceProcess(0), TrialStream(61, 2))
-    many = sample_source_many(SourceProcess(0), TrialStream(61, 2), 1)
+    single = sample_source(TrialStream(61, 2))
+    many = sample_source_many(TrialStream(61, 2), 1)
     assert np.allclose(single, many[0])
 
 
