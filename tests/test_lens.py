@@ -165,6 +165,27 @@ def test_lens_displaced_target():
     assert dists.min() < 2e-3
 
 
+@pytest.mark.parametrize(
+    "target, amplitude, width, center, miss",
+    [
+        ((1.0, 0.05), "0x1.5000000000000p-3", "0x1.0051de6ddd53fp-1",
+         ("0x1.fffffffffffb1p-2", "0x1.6a7dae19cfa76p-2"), "0x1.e5785b2b736d4p-12"),
+        ((1.0, 0.1), "0x1.5800000000000p-2", "0x1.0146dd68287f3p-1",
+         ("0x1.fffffffffffdbp-2", "0x1.6bd82821354fep-2"), "0x1.e0c50fd9c3c67p-11"),
+        ((1.5, 0.2), "0x1.e000000000000p-2", "0x1.8365f6bf92de2p-1",
+         ("0x1.7ffffffffffeap-1", "0x1.11ee9515be7c1p-1"), "0x1.9621c59e4984dp-11"),
+    ],
+)
+def test_lens_search_golden(target, amplitude, width, center, miss):
+    # Bit-exact pin of the search on the benchmark's (span, displacement)
+    # targets, so a refactor of the search or the fields shows any drift.
+    design = design_lens((0.0, 0.0), (1.0, 0.0), target)
+    assert design.amplitude.hex() == amplitude
+    assert float(design.width).hex() == width
+    assert tuple(float(c).hex() for c in design.center) == center
+    assert design.miss.hex() == miss
+
+
 def test_lens_search_failure():
     with pytest.raises(LensSearchError):
         design_lens(
