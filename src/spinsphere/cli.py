@@ -7,8 +7,9 @@ Each run writes <experiment>_report.json (metrics, thresholds, pass flags,
 and the fully resolved configuration, so any result can be re-run from its
 own report) plus CSV data files <experiment>_<index>.csv into the output
 directory, and prints a one-line pass/fail summary.  Exit status: 0 pass,
-1 threshold failure, 2 usage or configuration error, 3 no convergence (a
-collapse trial or walk hit its step limit, or the lens search failed).
+1 threshold failure, 2 usage, configuration or output-directory error,
+3 no convergence (a collapse trial or walk hit its step limit, or the
+lens search failed).
 
 Each configuration key is one entry of PARAMS (type, default, valid range,
 help), which builds the --key-with-dashes flags listed by `spinsphere
@@ -47,7 +48,15 @@ from .evolution import (
     integrate_numeric,
     speed_along,
 )
-from .lens import LensSearchError, RayState, design_lens, integrate_ray, ray_energy
+from .lens import (
+    LENS_DTAU,
+    LENS_MISS_TOL,
+    LensSearchError,
+    RayState,
+    design_lens,
+    integrate_ray,
+    ray_energy,
+)
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
 from .su2 import AlgebraElement, Spinor, killing_inner
@@ -381,9 +390,8 @@ def run_lens(cfg, out_dir: Path) -> dict:
     v0 = np.array([1.0, 0.0])
     target = np.array([cfg["span"], cfg["displacement"]])
     design = design_lens(start, v0, target)
-    dtau = 2e-3
-    n_steps = int(2.5 * cfg["span"] / dtau)
-    states = integrate_ray(RayState(start, v0, 0.0), design.field, dtau, n_steps)
+    n_steps = int(2.5 * cfg["span"] / LENS_DTAU)
+    states = integrate_ray(RayState(start, v0, 0.0), design.field, LENS_DTAU, n_steps)
     write_csv(
         out_dir / "lens_0.csv",
         ["tau", "q0", "q1", "energy"],
@@ -399,8 +407,8 @@ def run_lens(cfg, out_dir: Path) -> dict:
             "width": design.width,
             "center": [float(c) for c in design.center],
         },
-        "thresholds": {"miss_distance": 1e-3},
-        "checks": {"lens_miss": design.miss < 1e-3},
+        "thresholds": {"miss_distance": LENS_MISS_TOL},
+        "checks": {"lens_miss": design.miss < LENS_MISS_TOL},
     }
 
 
@@ -469,8 +477,14 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One "error:" line from main's handler, not argparse's usage block.
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinsphere",
         description="Seeded experiments on the geometry of two-level quantum states.",
     )
@@ -488,20 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         body = RUNNERS[args.experiment](cfg, out_dir)
-    except (ConfigError, ValueError) as exc:
+        report = {"experiment": args.experiment, "seed": cfg["seed"], "config": cfg, **body}
+        return _finish(report, out_dir, args.experiment)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CollapseTimeoutError, LensSearchError) as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 3
-    report = {"experiment": args.experiment, "seed": cfg["seed"], "config": cfg, **body}
-    return _finish(report, out_dir, args.experiment)
 
 
 if __name__ == "__main__":

@@ -254,7 +254,6 @@ class CollapseOutcome:
 
     eigenstate: int
     steps: int
-    trace: tuple | None = None
 
     def __post_init__(self):
         if self.eigenstate not in (0, 1):
@@ -325,7 +324,6 @@ def run_collapse_trial(
     region: CaptureRegion,
     rng: TrialStream,
     max_steps: int = 1_000_000,
-    record_trace: bool = False,
 ) -> CollapseOutcome:
     """Run one single-push measurement trial.
 
@@ -346,11 +344,7 @@ def run_collapse_trial(
         raise CollapseTimeoutError(f"no capture within {max_steps} steps")
     n = int(steps[0])
     rng.skip(6 * n)
-    trace = None
-    if record_trace:
-        u = uniforms_at(rng.key, start + np.arange(6 * n)).reshape(n, 2, 3)
-        trace = tuple((tuple(s[0]), tuple(s[1])) for s in _uniforms_to_samples(u))
-    return CollapseOutcome(eigenstate=int(eigenstates[0]), steps=n, trace=trace)
+    return CollapseOutcome(eigenstate=int(eigenstates[0]), steps=n)
 
 
 def run_collapse_batch(

@@ -24,6 +24,9 @@ import numpy as np
 
 from .su2 import AlgebraElement, Spinor
 
+LENS_MISS_TOL = 1e-3  # a lens design is accepted when its ray passes this close
+LENS_DTAU = 2e-3  # leapfrog step of the lens search's rays
+
 
 class FieldEvaluationError(RuntimeError):
     """A refractive field could not be evaluated at a ray position."""
@@ -40,14 +43,13 @@ class SingularHamiltonianError(ValueError):
 class RefractiveField:
     """Scalar field eta^2 over chart coordinates, with its gradient.
 
-    If no analytic gradient is supplied, central differences with the
-    given step are used.  eta^2 must be positive wherever it is evaluated.
+    If no analytic gradient is supplied, central differences with step
+    1e-6 are used.  eta^2 must be positive wherever it is evaluated.
     """
 
-    def __init__(self, eta_sq_fn, grad_fn=None, fd_step: float = 1e-6):
+    def __init__(self, eta_sq_fn, grad_fn=None):
         self._eta_sq_fn = eta_sq_fn
         self._grad_fn = grad_fn
-        self._fd_step = fd_step
 
     def eta_sq(self, q) -> float:
         q = np.asarray(q, dtype=float)
@@ -68,7 +70,7 @@ class RefractiveField:
                 return np.asarray(self._grad_fn(q), dtype=float)
             except Exception as exc:
                 raise FieldEvaluationError(f"grad eta^2 failed at q={q}") from exc
-        h = self._fd_step
+        h = 1e-6
         grad = np.empty_like(q)
         for i in range(q.size):
             dq = np.zeros_like(q)
@@ -77,22 +79,20 @@ class RefractiveField:
         return grad
 
 
-def uniform_field(value: float = 1.0) -> RefractiveField:
-    """Homogeneous medium: straight-line rays."""
+def uniform_field() -> RefractiveField:
+    """Homogeneous medium eta^2 = 1: straight-line rays."""
     return RefractiveField(
-        lambda q: value, lambda q: np.zeros_like(np.asarray(q, dtype=float))
+        lambda q: 1.0, lambda q: np.zeros_like(np.asarray(q, dtype=float))
     )
 
 
-def gaussian_bump_field(
-    center, amplitude: float, width: float, base: float = 1.0
-) -> RefractiveField:
-    """eta^2 = base + A exp(-|q - c|^2 / w^2), with analytic gradient."""
+def gaussian_bump_field(center, amplitude: float, width: float) -> RefractiveField:
+    """eta^2 = 1 + A exp(-|q - c|^2 / w^2), with analytic gradient."""
     c = np.asarray(center, dtype=float)
 
     def eta_sq(q):
         d = np.asarray(q, dtype=float) - c
-        return base + amplitude * math.exp(-float(np.dot(d, d)) / width**2)
+        return 1.0 + amplitude * math.exp(-float(np.dot(d, d)) / width**2)
 
     def grad(q):
         d = np.asarray(q, dtype=float) - c
@@ -179,29 +179,22 @@ class LensDesign:
     miss: float
 
 
-def design_lens(
-    phi_a,
-    v0,
-    target,
-    base: RefractiveField | None = None,
-    miss_tol: float = 1e-3,
-    widths=None,
-    max_amplitude: float = 8.0,
-    dtau: float = 2e-3,
-) -> LensDesign:
+def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
     """Find a Gaussian dent of eta^2 that steers the ray onto the target.
 
-    The ray starts at phi_a with velocity v0 in the (flat-chart) field
-    `base`; the perturbation is A exp(-|q - c|^2/w^2) with the center
-    placed halfway down the unperturbed ray and offset by w/sqrt(2)
-    toward the target side, where the transverse pull of the bump is
-    strongest (a bump centered on the target itself mostly accelerates
-    the ray along-track and saturates).  For each width in the ladder the
-    amplitude is bracketed by an upward doubling scan of the signed
-    lateral miss and then bisected.  The search reports the best achieved
-    miss distance and raises LensSearchError when no member of the family
-    gets within miss_tol (the family is finite; existence of some
-    perturbation is the model's claim, not a guarantee for this family).
+    The ray starts at phi_a with velocity v0 in the flat chart (eta^2 = 1)
+    and is traced with step LENS_DTAU; the perturbation is
+    A exp(-|q - c|^2/w^2) with the center placed halfway down the
+    unperturbed ray and offset by w/sqrt(2) toward the target side, where
+    the transverse pull of the bump is strongest (a bump centered on the
+    target itself mostly accelerates the ray along-track and saturates).
+    For each width in the ladder (0.5, 0.25, 1.0) times the distance to
+    the target, the amplitude is bracketed by an upward doubling scan of
+    the signed lateral miss, up to max_amplitude, and then bisected.  The
+    search reports the best achieved miss distance and raises
+    LensSearchError when no member of the family gets within
+    LENS_MISS_TOL (the family is finite; existence of some perturbation
+    is the model's claim, not a guarantee for this family).
 
     A target already on the unperturbed ray is accepted with A = 0.
     """
@@ -210,27 +203,26 @@ def design_lens(
     v0 = np.asarray(v0, dtype=float)
     if np.allclose(phi_a, target):
         raise ValueError("phi_a and target must differ")
-    if base is None:
-        base = uniform_field(1.0)
+    flat = uniform_field()
 
     span = float(np.linalg.norm(target - phi_a))
     speed = max(float(np.linalg.norm(v0)), 1e-12)
-    n_steps = int(2.5 * span / (speed * dtau)) + 10
+    n_steps = int(2.5 * span / (speed * LENS_DTAU)) + 10
 
     def trace(field):
-        ray = integrate_ray(RayState(phi_a, v0, 0.0), field, dtau, n_steps)
+        ray = integrate_ray(RayState(phi_a, v0, 0.0), field, LENS_DTAU, n_steps)
         return ray_positions(ray)
 
-    base_positions = trace(base)
-    base_miss = _min_distance_to_point(base_positions, target)
-    if base_miss < miss_tol:
-        return LensDesign(base, 0.0, 0.0, target.copy(), base_miss)
+    flat_positions = trace(flat)
+    flat_miss = _min_distance_to_point(flat_positions, target)
+    if flat_miss < LENS_MISS_TOL:
+        return LensDesign(flat, 0.0, 0.0, target.copy(), flat_miss)
 
     # Signed miss: component of the closest-approach offset along the
     # direction from the unperturbed ray toward the target; negative means
     # under-bent, positive over-bent, so a sign change brackets A.
-    closest_idx = np.argmin(np.linalg.norm(base_positions - target, axis=1))
-    aim = target - base_positions[closest_idx]
+    closest_idx = np.argmin(np.linalg.norm(flat_positions - target, axis=1))
+    aim = target - flat_positions[closest_idx]
     aim_norm = np.linalg.norm(aim)
     if aim_norm == 0.0:
         aim = np.zeros_like(target)
@@ -244,16 +236,13 @@ def design_lens(
         signed = float(np.dot(positions[idx] - target, aim))
         return signed, _min_distance_to_point(positions, target)
 
-    if widths is None:
-        widths = (0.5 * span, 0.25 * span, 1.0 * span)
-
-    midpoint = phi_a + 0.5 * (base_positions[closest_idx] - phi_a)
-    best = LensDesign(base, 0.0, 0.0, target.copy(), base_miss)
-    for width in widths:
+    midpoint = phi_a + 0.5 * (flat_positions[closest_idx] - phi_a)
+    best = LensDesign(flat, 0.0, 0.0, target.copy(), flat_miss)
+    for width in (0.5 * span, 0.25 * span, 1.0 * span):
         center = midpoint + (width / math.sqrt(2.0)) * aim
 
         def make(a, w=width, c=center):
-            return _stacked(base, c, a, w)
+            return gaussian_bump_field(c, a, w)
 
         lo_a = 0.0
         bracket = None
@@ -275,38 +264,18 @@ def design_lens(
             signed, miss = signed_and_abs_miss(make(mid))
             if miss < best.miss:
                 best = LensDesign(make(mid), mid, width, center.copy(), miss)
-            if best.miss < miss_tol:
+            if best.miss < LENS_MISS_TOL:
                 return best
             if signed > 0.0:
                 hi_a = mid
             else:
                 lo_a = mid
-        if best.miss < miss_tol:
-            return best
-    if best.miss < miss_tol:
+    if best.miss < LENS_MISS_TOL:
         return best
     raise LensSearchError(
-        f"no (A, w) in the family reached miss < {miss_tol:g}; "
+        f"no (A, w) in the family reached miss < {LENS_MISS_TOL:g}; "
         f"best miss {best.miss:.3e}"
     )
-
-
-def _stacked(base: RefractiveField, center, amplitude: float, width: float) -> RefractiveField:
-    """base eta^2 plus a Gaussian bump, gradients composed analytically."""
-    c = np.asarray(center, dtype=float)
-
-    def eta_sq(q):
-        d = np.asarray(q, dtype=float) - c
-        return base.eta_sq(q) + amplitude * math.exp(
-            -float(np.dot(d, d)) / width**2
-        )
-
-    def grad(q):
-        d = np.asarray(q, dtype=float) - c
-        bump = amplitude * math.exp(-float(np.dot(d, d)) / width**2)
-        return base.grad_eta_sq(q) + (-2.0 / width**2) * bump * d
-
-    return RefractiveField(eta_sq, grad)
 
 
 # ---------------------------------------------------------------------------

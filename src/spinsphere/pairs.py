@@ -29,17 +29,12 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PairState:
-    """Normalized amplitudes (c_pp, c_pm, c_mp, c_mm) of a spin pair.
-
-    `labels` carries optional inert location tags for the two particles,
-    e.g. ("x", "y"); they play no dynamical role.
-    """
+    """Normalized amplitudes (c_pp, c_pm, c_mp, c_mm) of a spin pair."""
 
     c_pp: complex
     c_pm: complex
     c_mp: complex
     c_mm: complex
-    labels: tuple[str, str] = ("", "")
 
     def __post_init__(self):
         amps = np.array(
@@ -65,14 +60,13 @@ class PairState:
         )
 
 
-def tensor_state(phi: Spinor, psi: Spinor, labels=("", "")) -> PairState:
+def tensor_state(phi: Spinor, psi: Spinor) -> PairState:
     """Product state with c_ij = phi_i psi_j (never entangled)."""
     return PairState(
         phi.c1 * psi.c1,
         phi.c1 * psi.c2,
         phi.c2 * psi.c1,
         phi.c2 * psi.c2,
-        labels=tuple(labels),
     )
 
 
@@ -147,7 +141,6 @@ def measure_first_z(
     s: SingletSectorState,
     rng: TrialStream,
     region: CaptureRegion = DEFAULT_REGION,
-    max_steps: int = 1_000_000,
 ) -> MeasurementRecord:
     """Measure the Z spin of the first particle (and thereby the second).
 
@@ -155,9 +148,7 @@ def measure_first_z(
     single-push source competition; the particles' reported values are
     opposite in every trial by construction of the sector.
     """
-    outcome = run_collapse_trial(
-        s.effective_spinor, region, rng, max_steps=max_steps
-    )
+    outcome = run_collapse_trial(s.effective_spinor, region, rng)
     return _record_from_outcome(outcome.eigenstate, outcome.steps)
 
 
@@ -166,12 +157,9 @@ def run_epr_batch(
     seed: int,
     n_trials: int,
     region: CaptureRegion = DEFAULT_REGION,
-    max_steps: int = 1_000_000,
 ) -> list[MeasurementRecord]:
     """n_trials joint measurements with per-trial streams (seed, i)."""
-    eigenstates, steps = run_collapse_batch(
-        s.effective_spinor, region, seed, n_trials, max_steps=max_steps
-    )
+    eigenstates, steps = run_collapse_batch(s.effective_spinor, region, seed, n_trials)
     return [
         _record_from_outcome(int(e), int(k)) for e, k in zip(eigenstates, steps)
     ]

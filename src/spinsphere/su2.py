@@ -185,8 +185,12 @@ class BlochVector:
     def angle_to(self, other: "BlochVector") -> float:
         """Angle in [0, pi] between the two vectors (atan2 form, stable
         near 0 and pi)."""
-        a, b = self.vector, other.vector
-        return math.atan2(np.linalg.norm(np.cross(a, b)), float(np.dot(a, b)))
+        cross = math.hypot(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
+        return math.atan2(cross, self.x * other.x + self.y * other.y + self.z * other.z)
 
 
 def omega(s: Spinor) -> MatRep:

@@ -209,7 +209,7 @@ def test_criterion_7_markov_chain_collapse():
 def test_criterion_8_ray_integrator_and_lens():
     crit = Criterion(8, "conformal ray integrator + lens", 10.0)
     straight = integrate_ray(
-        RayState((0.0, 0.0), (0.8, 0.6), 0.0), uniform_field(1.0), 1e-3, 10_000
+        RayState((0.0, 0.0), (0.8, 0.6), 0.0), uniform_field(), 1e-3, 10_000
     )
     expected = np.outer(1e-3 * np.arange(10_001), [0.8, 0.6])
     line_dev = float(np.abs(ray_positions(straight) - expected).max())

@@ -43,12 +43,6 @@ def test_every_experiment_passes(tmp_path):
         assert report["config"]["seed"] == 42  # echo of resolved config
 
 
-def test_unknown_experiment_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["warp-drive", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-
-
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
@@ -76,9 +70,12 @@ def test_invalid_value_exits_2(tmp_path):
         (["uncertainty", "--states", "0"], None),
         (["born"], "trials=2.5\n"),
         (["born"], "c1sq=abc\n"),
+        (["born", "--trials", "abc"], None),
+        (["warp-drive"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
-         "uncertainty-states", "config-trials", "config-c1sq"],
+         "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
+         "unknown-experiment"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -89,6 +86,24 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["curvature", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    # The report is written after the experiment ran.
+    monkeypatch.setattr(cli, "write_json_report", full_disk)
+    assert run_cli(["curvature", "--planes", "0", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 @pytest.mark.parametrize(

@@ -211,16 +211,9 @@ def test_weighted_state_sits_at_pi_over_3():
 # ---------------------------------------------------------------------------
 
 def test_single_trial_outcome_shape():
-    out = run_collapse_trial(
-        state_with_weight(0.5), DEFAULT_REGION, TrialStream(42, 0), record_trace=True
-    )
+    out = run_collapse_trial(state_with_weight(0.5), DEFAULT_REGION, TrialStream(42, 0))
     assert out.eigenstate in (0, 1)
     assert out.steps >= 1
-    assert len(out.trace) == out.steps
-    theta, alpha, beta = out.trace[0][0]
-    assert -math.pi <= theta <= math.pi
-    assert -math.pi / 2 <= alpha <= math.pi / 2
-    assert -math.pi <= beta <= math.pi
 
 
 def test_single_trial_timeout():

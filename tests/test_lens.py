@@ -39,7 +39,7 @@ def energies(states, field):
 # ---------------------------------------------------------------------------
 
 def test_uniform_medium_straight_line():
-    field = uniform_field(1.0)
+    field = uniform_field()
     start = RayState((0.0, 0.0), (0.8, 0.6), 0.0)
     states = integrate_ray(start, field, 1e-3, 10_000)
     expected = np.outer(
