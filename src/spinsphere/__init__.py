@@ -63,12 +63,9 @@ from .collapse import (
     capture_probability,
     delta_distance_sq,
     delta_overlap,
-    invert_theta_cdf,
     run_collapse_batch,
     run_collapse_trial,
     run_ruin_walks,
-    sample_source,
-    sample_source_many,
     source_frame_coords,
     theta_cdf,
     theta_pdf,

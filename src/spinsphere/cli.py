@@ -137,7 +137,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then flags; then each key's check."""
+    """Defaults, then the config file, then flags; then each float key must be
+    finite and each key must pass its check."""
     cfg = {key: param.default for key, param in PARAMS.items()}
     if args.config:
         cfg.update(parse_config_file(args.config))
@@ -146,6 +147,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if override is not None:
             cfg[key] = override
         value = cfg[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
         if param.check and value is not None and not param.check[0](value):
             raise ConfigError(f"{key} {param.check[1]}, got {value}")
     return cfg
@@ -415,8 +418,8 @@ def run_lens(cfg, out_dir: Path) -> dict:
 def run_epr(cfg, out_dir: Path) -> dict:
     a_sq = cfg["a_sq"]
     state = SingletSectorState(math.sqrt(a_sq), math.sqrt(1.0 - a_sq))
-    records = run_epr_batch(state, cfg["seed"], cfg["trials"], _region(cfg))
-    stats = epr_statistics(records, cfg["seed"])
+    first, second, _ = run_epr_batch(state, cfg["seed"], cfg["trials"], _region(cfg))
+    stats = epr_statistics(first, second, cfg["seed"])
     freq = stats["counts_plus_minus"] / stats["n_trials"]
     sigma = math.sqrt(max(a_sq * (1 - a_sq), 1e-12) / stats["n_trials"])
     z = (freq - a_sq) / sigma if sigma > 0 else 0.0

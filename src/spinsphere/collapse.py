@@ -22,12 +22,14 @@ harmonic (a martingale), making the absorption probabilities equal h
 exactly.  Both mechanisms, plus the exact linear-solve oracle for the
 chain, live here.
 
-Sampling is driven by the per-trial streams of `randomness`; a trial
-consumes six draws per step (theta, alpha, beta for each source).  The
-box test never inverts a CDF: theta is tested on the raw 64-bit draw
+The capture kernel is the only code that maps draws to source
+coordinates.  A trial reads six draws of its per-trial stream (see
+`randomness`) per step, (theta, alpha, beta) for each source; draws u
+stand for theta = F^-1(1 - u), alpha = pi/2 - pi u and beta = pi - 2 pi u.
+The kernel never inverts F: theta is tested on the raw 64-bit draw
 against one exact integer range per source, alpha and beta in uniform
-space.  The batch and single-trial paths share one capture kernel, so
-they produce bit-identical outcomes.
+space.  The batch and single-trial paths share the kernel, so they
+produce bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -76,49 +78,6 @@ def theta_cdf(theta):
     """F(theta) = (theta + sin(theta) + pi) / (2 pi)."""
     theta = np.asarray(theta, dtype=float)
     return (theta + np.sin(theta) + math.pi) / TWO_PI
-
-
-_TABLE_THETA = np.linspace(-math.pi, math.pi, 4097)
-_TABLE_CDF = theta_cdf(_TABLE_THETA)
-
-
-def invert_theta_cdf(u):
-    """Solve F(theta) = u by table bracket plus bisection to 1e-12."""
-    u = np.asarray(u, dtype=float)
-    idx = np.clip(np.searchsorted(_TABLE_CDF, u), 1, len(_TABLE_CDF) - 1)
-    lo = _TABLE_THETA[idx - 1]
-    hi = _TABLE_THETA[idx]
-    for _ in range(42):
-        mid = 0.5 * (lo + hi)
-        below = theta_cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _uniforms_to_samples(u: np.ndarray) -> np.ndarray:
-    """Map raw uniforms (..., 3) to (theta, alpha, beta) samples."""
-    theta = invert_theta_cdf(1.0 - u[..., 0])
-    alpha = math.pi / 2.0 - u[..., 1] * math.pi
-    beta = math.pi - u[..., 2] * TWO_PI
-    return np.stack([theta, alpha, beta], axis=-1)
-
-
-def sample_source(rng: TrialStream) -> tuple[float, float, float]:
-    """Draw one (theta, alpha, beta) position of a source, in the chart
-    centered on its eigenstate.
-
-    Successive samples are independent; theta has density
-    (1/pi) cos^2(theta/2), alpha and beta are uniform over their ranges.
-    Both sources share this law, so no argument names the source.
-    """
-    sample = _uniforms_to_samples(rng.uniforms(3))
-    return float(sample[0]), float(sample[1]), float(sample[2])
-
-
-def sample_source_many(rng: TrialStream, n: int) -> np.ndarray:
-    """Draw n positions, shape (n, 3); same stream semantics as sample_source."""
-    return _uniforms_to_samples(rng.uniforms(3 * n).reshape(n, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +385,6 @@ class MarkovChainModel:
     """
 
     m: int
-    delta: float
     thetas: np.ndarray
     toward_zero_prob: np.ndarray
 
@@ -448,7 +406,7 @@ def build_markov_chain(m: int) -> MarkovChainModel:
         raise AssertionError("harmonicity construction failed")
     thetas.flags.writeable = False
     p.flags.writeable = False
-    return MarkovChainModel(m=m, delta=math.pi / m, thetas=thetas, toward_zero_prob=p)
+    return MarkovChainModel(m=m, thetas=thetas, toward_zero_prob=p)
 
 
 def absorption_probabilities(chain: MarkovChainModel) -> np.ndarray:

@@ -182,6 +182,6 @@ def geodesic_planarity(traj: Trajectory) -> float:
     if len(traj) < 4:
         raise ValueError("planarity needs at least 4 samples")
     s = traj.states
-    real4 = np.column_stack([s[:, 0].real, s[:, 0].imag, s[:, 1].real, s[:, 1].imag])
-    singular = np.linalg.svd(real4, compute_uv=False)
+    points = np.column_stack([s[:, 0].real, s[:, 0].imag, s[:, 1].real, s[:, 1].imag])
+    singular = np.linalg.svd(points, compute_uv=False)
     return float(singular[2])

@@ -6,7 +6,10 @@ zero-total-angular-momentum sector a phi+ psi- + b phi- psi+ is treated
 as an effective two-level system whose "classical" points are the
 product states phi+ psi- and phi- psi+; measuring the Z component of the
 first spin runs the single-push collapse machinery on (a, b) and reports
-structurally opposite values for the two particles.
+structurally opposite values for the two particles.  A single
+measurement returns a MeasurementRecord; a batch returns the collapse
+kernel's arrays, with eigenstate e mapped to the spin values
+(1 - 2 e, 2 e - 1).
 """
 
 from __future__ import annotations
@@ -127,16 +130,6 @@ _CLASSICAL_POINTS = (
 )
 
 
-def _record_from_outcome(eigenstate: int, steps: int) -> MeasurementRecord:
-    first = +1 if eigenstate == 0 else -1
-    return MeasurementRecord(
-        first=first,
-        second=-first,
-        collapsed=_CLASSICAL_POINTS[eigenstate],
-        steps=steps,
-    )
-
-
 def measure_first_z(
     s: SingletSectorState,
     rng: TrialStream,
@@ -149,7 +142,13 @@ def measure_first_z(
     opposite in every trial by construction of the sector.
     """
     outcome = run_collapse_trial(s.effective_spinor, region, rng)
-    return _record_from_outcome(outcome.eigenstate, outcome.steps)
+    first = 1 - 2 * outcome.eigenstate
+    return MeasurementRecord(
+        first=first,
+        second=-first,
+        collapsed=_CLASSICAL_POINTS[outcome.eigenstate],
+        steps=outcome.steps,
+    )
 
 
 def run_epr_batch(
@@ -157,23 +156,25 @@ def run_epr_batch(
     seed: int,
     n_trials: int,
     region: CaptureRegion = DEFAULT_REGION,
-) -> list[MeasurementRecord]:
-    """n_trials joint measurements with per-trial streams (seed, i)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n_trials joint measurements with per-trial streams (seed, i).
+
+    Returns the arrays (first, second, steps): the Z values (+1 or -1) of
+    the two spins and the collapse steps of each trial.  Trial i matches
+    measure_first_z on TrialStream(seed, i).
+    """
     eigenstates, steps = run_collapse_batch(s.effective_spinor, region, seed, n_trials)
-    return [
-        _record_from_outcome(int(e), int(k)) for e, k in zip(eigenstates, steps)
-    ]
+    first = 1 - 2 * eigenstates
+    return first, -first, steps
 
 
-def epr_statistics(records: list[MeasurementRecord], seed: int) -> dict:
-    """Summary of an EPR run in the report schema."""
-    counts_pm = sum(1 for r in records if (r.first, r.second) == (1, -1))
-    counts_mp = sum(1 for r in records if (r.first, r.second) == (-1, 1))
-    violations = sum(1 for r in records if r.first != -r.second)
+def epr_statistics(first: np.ndarray, second: np.ndarray, seed: int) -> dict:
+    """Summary of an EPR run (the spin arrays of run_epr_batch) in the
+    report schema."""
     return {
-        "n_trials": len(records),
+        "n_trials": int(first.size),
         "seed": seed,
-        "counts_plus_minus": counts_pm,
-        "counts_minus_plus": counts_mp,
-        "anti_correlation_violations": violations,
+        "counts_plus_minus": int(np.count_nonzero((first == 1) & (second == -1))),
+        "counts_minus_plus": int(np.count_nonzero((first == -1) & (second == 1))),
+        "anti_correlation_violations": int(np.count_nonzero(first != -second)),
     }

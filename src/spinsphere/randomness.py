@@ -73,7 +73,8 @@ def uniforms_at(keys: np.ndarray, draw_indices) -> np.ndarray:
 
 
 class TrialStream:
-    """Sequential view of one trial's stream; used by single-trial code paths.
+    """Sequential view of one trial's stream; used by `run_collapse_trial`
+    and the test oracle.
 
     Consuming n values advances an internal draw counter, so a TrialStream
     and the batched `uniforms_at` addressing produce identical numbers.

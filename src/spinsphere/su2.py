@@ -52,21 +52,9 @@ class Spinor:
         object.__setattr__(self, "c1", complex(self.c1) / n)
         object.__setattr__(self, "c2", complex(self.c2) / n)
 
-    @classmethod
-    def from_vector(cls, v) -> "Spinor":
-        v = np.asarray(v, dtype=complex).reshape(2)
-        return cls(v[0], v[1])
-
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.c1, self.c2], dtype=complex)
-
-    @property
-    def real4(self) -> np.ndarray:
-        """The state as a point of R^4: (Re c1, Im c1, Re c2, Im c2)."""
-        return np.array(
-            [self.c1.real, self.c1.imag, self.c2.real, self.c2.imag]
-        )
 
     def inner(self, other: "Spinor") -> complex:
         """Hermitian inner product (self, other) = sum_k self_k conj(other_k)."""

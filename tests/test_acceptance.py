@@ -254,14 +254,14 @@ def test_criterion_9_scale_isometry():
 def test_criterion_10_epr_anti_correlation():
     crit = Criterion(10, "EPR anti-correlation and sector weights", 60.0)
     singlet = SingletSectorState(RT2, -RT2)
-    records = run_epr_batch(singlet, seed=53, n_trials=100_000)
-    violations = sum(1 for r in records if r.first != -r.second)
+    first, second, _ = run_epr_batch(singlet, seed=53, n_trials=100_000)
+    violations = int(np.count_nonzero(first != -second))
     assert violations == 0
     details = []
     for a_sq in (0.1, 0.25, 0.5, 0.75, 0.9):
         state = SingletSectorState(math.sqrt(a_sq), math.sqrt(1.0 - a_sq))
-        batch = run_epr_batch(state, seed=53, n_trials=100_000)
-        freq = sum(1 for r in batch if r.first == 1) / len(batch)
+        first, _, _ = run_epr_batch(state, seed=53, n_trials=100_000)
+        freq = float(np.mean(first == 1))
         details.append(f"{a_sq}:{freq - a_sq:+.4f}")
         assert abs(freq - a_sq) < 0.005
     crit.done(f"0 violations; |freq - a^2| {{{', '.join(details)}}}")

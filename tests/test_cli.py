@@ -72,10 +72,26 @@ def test_invalid_value_exits_2(tmp_path):
         (["born"], "c1sq=abc\n"),
         (["born", "--trials", "abc"], None),
         (["warp-drive"], None),
+        (["evolve", "--t-final", "inf"], None),
+        (["lens", "--span", "inf"], None),
+        (["lens", "--displacement", "inf"], None),
+        (["e2-split", "--hbar", "inf"], None),
+        (["uncertainty", "--mu", "inf"], None),
+        (["bloch", "--bx", "nan"], None),
+        (["evolve"], "t_final=inf\n"),
+        (["lens"], "span=inf\n"),
+        (["lens"], "displacement=-inf\n"),
+        (["e2-split"], "hbar=inf\n"),
+        (["uncertainty"], "mu=inf\n"),
+        (["bloch"], "bx=nan\n"),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
-         "unknown-experiment"],
+         "unknown-experiment", "evolve-t-final-inf", "lens-span-inf",
+         "lens-displacement-inf", "e2-split-hbar-inf", "uncertainty-mu-inf",
+         "bloch-bx-nan", "config-t-final-inf", "config-span-inf",
+         "config-displacement-neg-inf", "config-hbar-inf", "config-mu-inf",
+         "config-bx-nan"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:

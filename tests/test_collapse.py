@@ -2,9 +2,11 @@
 
 Analytic oracles:
   * F(theta) = (theta + sin theta + pi) / (2 pi), checked against
-    quadrature of the density before the sampler is trusted;
+    quadrature of the density, since the capture kernel's theta ranges
+    are built on it;
   * E[cos theta] = 1/2 from the same integral;
-  * capture ratios cos^2 / sin^2 against the two-sided probability law.
+  * capture ratios cos^2 / sin^2 against the two-sided probability law;
+  * the finite-box law 1/2 + (1/2)(sin d/d) cos theta0 of a wide box.
 Statistical assertions run at 3 sigma with frozen seeds (the engine is
 bit-reproducible, so these are fixed test vectors, not flaky checks).
 """
@@ -25,11 +27,8 @@ from spinsphere.collapse import (
     capture_probability,
     delta_distance_sq,
     delta_overlap,
-    invert_theta_cdf,
     run_collapse_batch,
     run_collapse_trial,
-    sample_source,
-    sample_source_many,
     source_frame_coords,
     theta_cdf,
     theta_pdf,
@@ -42,11 +41,10 @@ from spinsphere.collapse import (
     _theta_bit_range,
     _theta_u_interval,
 )
-from spinsphere.randomness import TrialStream, derive_keys, uniforms_at
+from spinsphere.randomness import TrialStream, bits_at, derive_keys, uniforms_at
 from spinsphere.su2 import Spinor
 
 N_BIG = 100_000
-KS_CRIT = 1.9495  # alpha = 0.001
 
 
 def state_with_weight(c1_sq: float) -> Spinor:
@@ -68,81 +66,41 @@ def test_density_normalizes_and_matches_cdf():
     assert theta_cdf(math.pi) == 1.0
 
 
-def test_inverse_cdf_accuracy():
-    u = np.linspace(1e-9, 1.0, 4001)
-    theta = invert_theta_cdf(u)
-    assert np.abs(theta_cdf(theta) - u).max() < 1e-12
-    assert np.all(np.diff(theta) > 0.0)
-
-
 def test_expected_cosine_is_half():
     value, _ = integrate.quad(lambda t: math.cos(t) * theta_pdf(t), -math.pi, math.pi)
     assert value == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Sampler
+# Draws the capture kernel reads
 # ---------------------------------------------------------------------------
 
-def test_sampler_ks_at_scale():
-    samples = sample_source_many(TrialStream(101, 0), N_BIG)
-    statistic = stats.kstest(samples[:, 0], theta_cdf).statistic
-    assert statistic < KS_CRIT / math.sqrt(N_BIG)
+def _count_in_theta_range(bits, lo, hi):
+    """Raw theta draws whose 1 - u lies in [lo, hi], by the kernel's test."""
+    start, count = _theta_bit_range(lo, hi)
+    return int(np.count_nonzero(bits - np.uint64(start) < np.uint64(count)))
 
 
-def test_sampler_chi_square_binned():
-    samples = sample_source_many(TrialStream(353, 0), N_BIG)
-    edges = np.linspace(-math.pi, math.pi, 41)
-    counts, _ = np.histogram(samples[:, 0], bins=edges)
-    expected = np.diff(theta_cdf(edges)) * N_BIG
-    p = stats.chisquare(counts, expected).pvalue
-    assert p > 0.001
+def test_theta_draws_follow_the_law():
+    # Source 0's theta draws (positions 6 t) binned through the exact bit
+    # ranges of 40 equal theta bins; the law's median is 0 (F(0) = 1/2).
+    bits = bits_at(TrialStream(353, 0).key, 6 * np.arange(N_BIG))
+    cdf = theta_cdf(np.linspace(-math.pi, math.pi, 41))
+    counts = [_count_in_theta_range(bits, lo, hi) for lo, hi in zip(cdf[:-1], cdf[1:])]
+    assert stats.chisquare(counts, np.diff(cdf) * N_BIG).pvalue > 0.001
+    below = _count_in_theta_range(bits, 0.0, float(theta_cdf(0.0)))
+    assert abs(below - N_BIG / 2) < 3.0 * math.sqrt(N_BIG / 4)
 
 
-def test_sampler_median_and_mean():
-    samples = sample_source_many(TrialStream(57, 0), N_BIG)
-    theta = samples[:, 0]
-    # Median of the law is 0 (F(0) = 1/2); sigma_median = 1/(2 f(0) sqrt N).
-    med_sigma = math.pi / (2.0 * math.sqrt(N_BIG))
-    assert abs(np.median(theta)) < 3.0 * med_sigma
-    var, _ = integrate.quad(lambda t: t * t * theta_pdf(t), -math.pi, math.pi)
-    assert abs(theta.mean()) < 3.0 * math.sqrt(var / N_BIG)
-    assert abs(np.cos(theta).mean() - 0.5) < 3.0 * math.sqrt(0.125 / N_BIG)
-
-
-def test_sampler_uniform_marginals():
-    samples = sample_source_many(TrialStream(58, 0), N_BIG)
-    alpha, beta = samples[:, 1], samples[:, 2]
-    assert alpha.min() > -math.pi / 2 - 1e-12 and alpha.max() <= math.pi / 2 + 1e-12
-    assert beta.min() > -math.pi - 1e-12 and beta.max() <= math.pi + 1e-12
-    a_stat = stats.kstest(alpha, stats.uniform(-math.pi / 2, math.pi).cdf).statistic
-    b_stat = stats.kstest(beta, stats.uniform(-math.pi, 2 * math.pi).cdf).statistic
-    assert a_stat < KS_CRIT / math.sqrt(N_BIG)
-    assert b_stat < KS_CRIT / math.sqrt(N_BIG)
-
-
-def test_sampler_lag1_uncorrelated():
-    theta = sample_source_many(TrialStream(59, 0), N_BIG)[:, 0]
-    x = theta - theta.mean()
-    r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
-    assert abs(r1) < 3.0 / math.sqrt(N_BIG)
-
-
-def test_sources_independent():
-    # Two sources in one trial read disjoint channels of the stream.
-    stream = TrialStream(60, 0)
-    both = stream.uniforms(6 * N_BIG).reshape(N_BIG, 6)
-    theta0 = invert_theta_cdf(1.0 - both[:, 0])
-    theta1 = invert_theta_cdf(1.0 - both[:, 3])
-    x0, x1 = theta0 - theta0.mean(), theta1 - theta1.mean()
-    r = float(np.dot(x0, x1) / math.sqrt(np.dot(x0, x0) * np.dot(x1, x1)))
-    assert abs(r) < 3.0 / math.sqrt(N_BIG)
-
-
-def test_sample_source_single_matches_many():
-    single = sample_source(TrialStream(61, 2))
-    many = sample_source_many(TrialStream(61, 2), 1)
-    assert np.allclose(single, many[0])
+def test_theta_draws_uncorrelated():
+    # The two sources at one tick read positions 6 t and 6 t + 3; one
+    # source on successive ticks reads 6 t and 6 t + 6.
+    key = TrialStream(60, 0).key
+    source0 = uniforms_at(key, 6 * np.arange(N_BIG + 1))
+    source1 = uniforms_at(key, 6 * np.arange(N_BIG) + 3)
+    for x, y in ((source0[:-1], source1), (source0[:-1], source0[1:])):
+        r = float(np.corrcoef(x, y)[0, 1])
+        assert abs(r) < 3.0 / math.sqrt(N_BIG)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +413,20 @@ def test_born_rule_weighted_state():
     )
     freq = float(np.mean(out == 0))
     assert abs(freq - 0.75) < 3.0 * math.sqrt(0.75 * 0.25 / 20_000)
+
+
+def test_finite_box_law():
+    # A wide box realizes P0 = 1/2 + (1/2)(sin d/d) cos theta0, not Born's
+    # cos^2(theta0/2) (cos theta0 = 2 c1^2 - 1); at c1^2 = 0.9 and d = pi/8,
+    # 5e4 trials tell them apart.
+    d, c1_sq, n = math.pi / 8, 0.9, 50_000
+    out, _ = run_collapse_batch(state_with_weight(c1_sq), CaptureRegion(d, d, d),
+                                seed=11, n_trials=n)
+    freq = float(np.mean(out == 0))
+    finite_box = 0.5 + 0.5 * (math.sin(d) / d) * (2.0 * c1_sq - 1.0)
+    for p0, agrees in ((finite_box, True), (c1_sq, False)):
+        z = (freq - p0) / math.sqrt(p0 * (1.0 - p0) / n)
+        assert (abs(z) <= 3.0) == agrees, (p0, z)
 
 
 def test_memoryless_capture():

@@ -91,45 +91,39 @@ def test_classical_state_measures_deterministically():
 
 
 def test_anti_correlation_structural():
-    records = run_epr_batch(SingletSectorState(RT2, -RT2), seed=55, n_trials=4000)
-    assert all(r.first == -r.second for r in records)
-    collapsed_ok = all(
-        abs(abs(r.collapsed.a) - 1.0) < 1e-12
-        or abs(abs(r.collapsed.b) - 1.0) < 1e-12
-        for r in records
-    )
-    assert collapsed_ok
-    stats = epr_statistics(records, seed=55)
+    first, second, _ = run_epr_batch(SingletSectorState(RT2, -RT2), seed=55, n_trials=4000)
+    assert np.array_equal(first, -second)
+    assert set(first.tolist()) == {1, -1}
+    stats = epr_statistics(first, second, seed=55)
     assert stats["anti_correlation_violations"] == 0
     assert stats["counts_plus_minus"] + stats["counts_minus_plus"] == 4000
 
 
 def test_singlet_splits_evenly():
-    records = run_epr_batch(SingletSectorState(RT2, -RT2), seed=321, n_trials=20_000)
-    freq = sum(1 for r in records if r.first == 1) / len(records)
+    first, _, _ = run_epr_batch(SingletSectorState(RT2, -RT2), seed=321, n_trials=20_000)
+    freq = float(np.mean(first == 1))
     assert abs(freq - 0.5) < 3.0 * math.sqrt(0.25 / 20_000)
 
 
 def test_born_frequencies_match_sector_weights():
     for a_sq, seed in ((0.25, 1), (0.6, 2), (0.75, 3)):
         s = SingletSectorState(math.sqrt(a_sq), math.sqrt(1 - a_sq))
-        records = run_epr_batch(s, seed=seed, n_trials=10_000)
-        freq = sum(1 for r in records if r.first == 1) / len(records)
+        first, _, _ = run_epr_batch(s, seed=seed, n_trials=10_000)
+        freq = float(np.mean(first == 1))
         assert abs(freq - a_sq) < 3.0 * math.sqrt(a_sq * (1 - a_sq) / 10_000)
 
 
 def test_batch_matches_single_measurements():
     s = SingletSectorState(0.8, 0.6)
-    records = run_epr_batch(s, seed=99, n_trials=20)
+    first, second, steps = run_epr_batch(s, seed=99, n_trials=20)
     for i in range(20):
         single = measure_first_z(s, TrialStream(99, i))
-        assert single.first == records[i].first
-        assert single.steps == records[i].steps
+        assert (single.first, single.second, single.steps) == (first[i], second[i], steps[i])
 
 
 def test_region_parameter_is_honored():
     tight = CaptureRegion(math.pi / 64, math.pi / 8, math.pi / 8)
     s = SingletSectorState(RT2, -RT2)
-    a = run_epr_batch(s, seed=7, n_trials=50, region=tight)
-    b = run_epr_batch(s, seed=7, n_trials=50, region=DEFAULT_REGION)
-    assert [r.steps for r in a] != [r.steps for r in b]
+    _, _, a = run_epr_batch(s, seed=7, n_trials=50, region=tight)
+    _, _, b = run_epr_batch(s, seed=7, n_trials=50, region=DEFAULT_REGION)
+    assert not np.array_equal(a, b)
