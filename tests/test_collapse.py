@@ -81,26 +81,54 @@ def _count_in_theta_range(bits, lo, hi):
     return int(np.count_nonzero(bits - np.uint64(start) < np.uint64(count)))
 
 
-def test_theta_draws_follow_the_law():
-    # Source 0's theta draws (positions 6 t) binned through the exact bit
-    # ranges of 40 equal theta bins; the law's median is 0 (F(0) = 1/2).
-    bits = bits_at(TrialStream(353, 0).key, 6 * np.arange(N_BIG))
-    cdf = theta_cdf(np.linspace(-math.pi, math.pi, 41))
+def _theta_bin_counts(bits, edges):
+    """Counts of raw theta draws in the theta bins `edges`, and their law."""
+    cdf = theta_cdf(edges)
     counts = [_count_in_theta_range(bits, lo, hi) for lo, hi in zip(cdf[:-1], cdf[1:])]
-    assert stats.chisquare(counts, np.diff(cdf) * N_BIG).pvalue > 0.001
+    return np.asarray(counts), np.diff(cdf)
+
+
+def test_sampler_chi_square_binned():
+    # Source 0's theta draws (positions 6 t) binned through the exact bit
+    # ranges of 40 equal theta bins.
+    bits = bits_at(TrialStream(353, 0).key, 6 * np.arange(N_BIG))
+    counts, p = _theta_bin_counts(bits, np.linspace(-math.pi, math.pi, 41))
+    assert counts.sum() == N_BIG
+    assert stats.chisquare(counts, p * N_BIG).pvalue > 0.001
+
+
+def test_sampler_median_and_mean():
+    # The law's median is 0 (F(0) = 1/2). Means of theta and cos theta are
+    # taken over 400 bins at their midpoints and checked at 3 sigma against
+    # the same midpoints weighted by the law; the binned E[cos theta] sits
+    # within 1e-4 of 1/2.
+    bits = bits_at(TrialStream(57, 0).key, 6 * np.arange(N_BIG))
     below = _count_in_theta_range(bits, 0.0, float(theta_cdf(0.0)))
     assert abs(below - N_BIG / 2) < 3.0 * math.sqrt(N_BIG / 4)
+    edges = np.linspace(-math.pi, math.pi, 401)
+    counts, p = _theta_bin_counts(bits, edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    for values in (mid, np.cos(mid)):
+        mean = float(np.dot(p, values))
+        var = float(np.dot(p, values * values)) - mean * mean
+        assert abs(float(np.dot(counts, values)) / N_BIG - mean) < 3.0 * math.sqrt(var / N_BIG)
+    assert float(np.dot(p, np.cos(mid))) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_theta_draws_uncorrelated():
-    # The two sources at one tick read positions 6 t and 6 t + 3; one
-    # source on successive ticks reads 6 t and 6 t + 6.
+def test_sampler_lag1_uncorrelated():
+    # One source on successive ticks reads positions 6 t and 6 t + 6.
+    source0 = uniforms_at(TrialStream(59, 0).key, 6 * np.arange(N_BIG + 1))
+    r = float(np.corrcoef(source0[:-1], source0[1:])[0, 1])
+    assert abs(r) < 3.0 / math.sqrt(N_BIG)
+
+
+def test_sources_independent():
+    # The two sources at one tick read positions 6 t and 6 t + 3.
     key = TrialStream(60, 0).key
-    source0 = uniforms_at(key, 6 * np.arange(N_BIG + 1))
+    source0 = uniforms_at(key, 6 * np.arange(N_BIG))
     source1 = uniforms_at(key, 6 * np.arange(N_BIG) + 3)
-    for x, y in ((source0[:-1], source1), (source0[:-1], source0[1:])):
-        r = float(np.corrcoef(x, y)[0, 1])
-        assert abs(r) < 3.0 / math.sqrt(N_BIG)
+    r = float(np.corrcoef(source0, source1)[0, 1])
+    assert abs(r) < 3.0 / math.sqrt(N_BIG)
 
 
 # ---------------------------------------------------------------------------
