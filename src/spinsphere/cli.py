@@ -505,8 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    experiment = "spinsphere"
     try:
         args = build_parser().parse_args(argv)
+        experiment = args.experiment
         cfg = resolve_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -515,6 +517,10 @@ def main(argv=None) -> int:
         return _finish(report, out_dir, args.experiment)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {experiment}: out of memory{detail}", file=sys.stderr)
         return 2
     except (CollapseTimeoutError, LensSearchError) as exc:
         print(f"did not converge: {exc}", file=sys.stderr)

@@ -29,12 +29,17 @@ stand for theta = F^-1(1 - u), alpha = pi/2 - pi u and beta = pi - 2 pi u.
 The kernel never inverts F: theta is tested on the raw 64-bit draw
 against one exact integer range per source, alpha and beta in uniform
 space.  The batch and single-trial paths share the kernel, so they
-produce bit-identical outcomes.
+produce bit-identical outcomes.  Large batches run the same kernel on
+contiguous slices of their trials in a pool of forked processes, one per
+CPU the process may use; since every trial owns its stream, the outcomes
+do not depend on the split.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,11 @@ _TWO53 = 2**53
 # buffers (512 KiB each) stay in a core's L2 cache.
 _BLOCK = 32
 _ROWS = 1024
+# run_collapse_batch splits batches of at least this many trials over the
+# CPUs of the process's affinity mask.  On 2 CPUs the split breaks even near
+# 6,000 trials in DEFAULT_REGION (2,000 in a pi/8 box): a slice has nearly
+# the geometric tail of the whole batch, so small batches gain nothing.
+_SHARD_MIN_TRIALS = 8192
 
 # Bloch pole and tangent frame of each source chart (the chart is anchored
 # at the source's own eigenstate; eigenstate 0 is the basis state (1, 0)).
@@ -241,22 +251,24 @@ def _run_trials(windows, keys, start, max_steps):
     ).T
     bits_buf = np.empty(2 * _BLOCK * min(n, _ROWS), dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
-    hit_buf = np.empty(2 * _BLOCK * n, dtype=bool)
+    hit_buf = np.empty(bits_buf.size, dtype=bool)
     alive = np.arange(n)
     tick0 = 0
     while alive.size and tick0 < max_steps:
         width = 2 * min(_BLOCK, max_steps - tick0)
         base = start + 6 * tick0
         alive_keys = keys[alive]
-        hit = hit_buf[: alive.size * width].reshape(alive.size, width)
+        hits = []
         for r0 in range(0, alive.size, _ROWS):
             rows = min(_ROWS, alive.size - r0)
             bits = bits_buf[: rows * width].reshape(rows, width)
             bits_at(alive_keys[r0 : r0 + rows, None], base + offsets[:width],
                     out=bits, scratch=scratch_buf[: rows * width].reshape(rows, width))
             np.subtract(bits, theta_start[:width], out=bits)
-            np.less(bits, theta_count[:width], out=hit[r0 : r0 + rows])
-        row, col = np.divmod(np.flatnonzero(hit), width)
+            hit = hit_buf[: rows * width].reshape(rows, width)
+            np.less(bits, theta_count[:width], out=hit)
+            hits.append(np.flatnonzero(hit) + r0 * width)
+        row, col = np.divmod(np.concatenate(hits), width)
         k, draw = source[col], base + offsets[col]
         ok = _circ_dist(uniforms_at(alive_keys[row], draw + 1), alpha_c[k]) <= alpha_w[k]
         row, col, k, draw = row[ok], col[ok], k[ok], draw[ok]
@@ -276,6 +288,77 @@ def _run_trials(windows, keys, start, max_steps):
             alive = np.delete(alive, done)
         tick0 += _BLOCK
     return eigenstates, steps
+
+
+_pool = None  # (pid, workers, executor) of the shard pool, made on first use
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _shard_pool(workers: int):
+    """The persistent fork pool of `workers` processes for this process."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        import concurrent.futures
+        import multiprocessing
+
+        _close_pool()
+        _pool = (os.getpid(), workers, concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent))
+    return _pool[2]
+
+
+def _exit_with_parent():
+    """Pool initializer: end this worker when the process that forked it
+    dies.  Without it a worker whose parent was killed waits for work
+    forever, holding the parent's stdout and stderr open."""
+    import multiprocessing.connection
+    import threading
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@atexit.register
+def _close_pool():
+    """Shut down this process's pool while the interpreter is still whole
+    (a pool collected during module teardown prints an ignored error)."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
+def _sharded_trials(windows, keys, max_steps):
+    """_run_trials on every CPU: contiguous key slices, results concatenated.
+
+    Streams are counter-based, so each trial's outcome does not depend on
+    the slice that runs it and the result is bit-identical to one
+    _run_trials call over all keys.  Small batches, and processes limited
+    to one CPU, run in this process.
+    """
+    workers = _worker_count()
+    if workers < 2 or keys.size < _SHARD_MIN_TRIALS:
+        return _run_trials(windows, keys, 0, max_steps)
+    # Two slices per worker: a worker whose first slice ends early takes
+    # up another, which evens out the slices' geometric tails.
+    pool = _shard_pool(workers)
+    futures = [pool.submit(_run_trials, windows, part, 0, max_steps)
+               for part in np.array_split(keys, 2 * workers)]
+    parts = [future.result() for future in futures]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def run_collapse_trial(
@@ -324,12 +407,18 @@ def run_collapse_batch(
     evaluated (the streams are counter-based, so skipping draws is free),
     and one sort of the sparse captures picks each trial's first.
 
+    A batch of at least _SHARD_MIN_TRIALS trials is split into contiguous
+    slices that run on every CPU of the process's affinity mask, in a fork
+    pool made on the first such batch and kept for the life of the
+    process.  The outcomes are the same bit for bit on any number of CPUs;
+    `taskset -c 0` keeps every batch in the calling process.
+
     Raises CollapseTimeoutError if any trial fails to terminate within
     max_steps.
     """
     windows = tuple(_source_window(phi, k, region) for k in (0, 1))
     keys = derive_keys(seed, np.arange(n_trials))
-    eigenstates, steps = _run_trials(windows, keys, 0, max_steps)
+    eigenstates, steps = _sharded_trials(windows, keys, max_steps)
     left = int(np.count_nonzero(eigenstates < 0))
     if left:
         raise CollapseTimeoutError(

@@ -139,6 +139,22 @@ def test_non_convergence_exits_3(tmp_path, capsys, monkeypatch, experiment, targ
     assert err == f"did not converge: {error}\n"
 
 
+def test_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # What `born --trials 100000000000` raises; nothing is allocated here.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type int64")
+
+    monkeypatch.setattr(cli, "run_collapse_batch", no_memory)
+    assert run_cli(["born", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: born: out of memory (Unable to allocate 745. GiB for an array "
+        "with shape (100000000000,) and data type int64)\n")
+    assert not (tmp_path / "born_report.json").exists()
+
+
 def test_evolve_ends_at_t_final(tmp_path):
     # t_final < 4 dt: four steps of t_final / 4, not four steps of dt.
     assert run_cli(["evolve", "--t-final", "0.001", "--out", str(tmp_path)]) == 0

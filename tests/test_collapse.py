@@ -13,11 +13,16 @@ bit-reproducible, so these are fixed test vectors, not flaky checks).
 
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from spinsphere import collapse
 from spinsphere.collapse import (
     DEFAULT_REGION,
     CaptureRegion,
@@ -239,8 +244,24 @@ def outcome_digest(outcomes, steps) -> str:
     ).hexdigest()
 
 
+def force_workers(monkeypatch, workers):
+    """Make run_collapse_batch see `workers` CPUs: with 1 every batch runs
+    in this process, with 2 large batches shard over a 2-process pool.
+    Returns the list of worker counts of the sharded calls that follow."""
+    sharded = []
+    shard_pool = collapse._shard_pool
+    monkeypatch.setattr(collapse, "_worker_count", lambda: workers)
+    monkeypatch.setattr(collapse, "_shard_pool",
+                        lambda n: sharded.append(n) or shard_pool(n))
+    return sharded
+
+
+BOTH_PATHS = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "sharded"])
+
+
 # Pinned (outcomes, steps) of the batch engine; any change to the capture
-# kernel must leave these bit-identical.
+# kernel or to the sharding must leave these bit-identical on both paths.
+@BOTH_PATHS
 @pytest.mark.parametrize(
     "phi, region, seed, digest",
     [
@@ -254,9 +275,63 @@ def outcome_digest(outcomes, steps) -> str:
          "2a7fa87c02ae53ccf3caa4c0945f40a0af50d2e0edff589e2db3e0a557bad924"),
     ],
 )
-def test_batch_golden_digest(phi, region, seed, digest):
+def test_batch_golden_digest(phi, region, seed, digest, workers, monkeypatch):
+    sharded = force_workers(monkeypatch, workers)
     outcomes, steps = run_collapse_batch(phi, region, seed, 10_000)
     assert outcome_digest(outcomes, steps) == digest
+    assert sharded == ([2] if workers == 2 else [])
+
+
+def test_sharded_batch_with_uneven_slices(monkeypatch):
+    # 4 slices of 2,049, 2,049, 2,049 and 2,048 trials.
+    args = (state_with_weight(0.3), WIDE_BOX, 606, collapse._SHARD_MIN_TRIALS + 3)
+    force_workers(monkeypatch, 1)
+    serial = run_collapse_batch(*args)
+    sharded = force_workers(monkeypatch, 2)
+    outcomes, steps = run_collapse_batch(*args)
+    assert sharded == [2]
+    assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
+
+
+@BOTH_PATHS
+def test_batch_timeout_counts_every_trial(workers, monkeypatch):
+    n = collapse._SHARD_MIN_TRIALS + 1
+    sharded = force_workers(monkeypatch, workers)
+    with pytest.raises(CollapseTimeoutError) as info:
+        run_collapse_batch(state_with_weight(0.5), CaptureRegion(1e-4, 1e-4, 1e-4),
+                           42, n, max_steps=50)
+    assert str(info.value) == f"{n} of {n} trials exceeded 50 steps"
+    assert sharded == ([2] if workers == 2 else [])
+
+
+_KILLED_PARENT = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from spinsphere import collapse
+from spinsphere.collapse import DEFAULT_REGION, run_collapse_batch
+from spinsphere.su2 import Spinor
+collapse._worker_count = lambda: 2
+run_collapse_batch(Spinor(1.0, 0.0), DEFAULT_REGION, 1, collapse._SHARD_MIN_TRIALS)
+print(*collapse._pool[2]._processes, flush=True)
+time.sleep(60)
+"""
+
+
+def test_pool_workers_exit_with_a_killed_parent():
+    # Workers left behind would hold the pipe open, so reading the killed
+    # parent's output to its end would wait forever.
+    src = os.path.dirname(os.path.dirname(collapse.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, src],
+                            stdout=subprocess.PIPE)
+    workers = [int(pid) for pid in proc.stdout.readline().split()]
+    assert len(workers) == 2
+    proc.kill()
+    try:
+        proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
 
 
 # Pinned single trials: (eigenstate, steps, stream position afterwards);
