@@ -5,12 +5,14 @@ parabola for a constant-gradient field, and scipy's adaptive integrator
 as an independent reference for the Gaussian-bump deflection.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from spinsphere.cli import main
 from spinsphere.lens import (
     FieldEvaluationError,
     LensSearchError,
@@ -184,6 +186,22 @@ def test_lens_search_golden(target, amplitude, width, center, miss):
     assert float(design.width).hex() == width
     assert tuple(float(c).hex() for c in design.center) == center
     assert design.miss.hex() == miss
+
+
+@pytest.mark.parametrize(
+    "span, displacement, digest",
+    [
+        ("1.0", "0.1", "3b6d7f51c42b5c0d56b91491cead6501aa19b23b34dbcff0b1badadbd5d9f350"),
+        ("1.5", "0.2", "f9e982b15c448374a07e44eaaeff75fa9b32d061b8abe59ce1cbed74f8bd1067"),
+    ],
+)
+def test_lens_csv_golden(tmp_path, span, displacement, digest):
+    # Bit-exact pin of the CLI's traced ray (tau, q, energy per step), so a
+    # refactor of the integrator or the energy shows any drift.
+    argv = ["lens", "--span", span, "--displacement", displacement]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    csv_bytes = (tmp_path / "lens_0.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == digest
 
 
 def test_lens_search_failure():
