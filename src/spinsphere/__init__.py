@@ -74,7 +74,6 @@ from .lens import (
     FieldEvaluationError,
     LensDesign,
     LensSearchError,
-    RayState,
     RefractiveField,
     SingularHamiltonianError,
     design_lens,
@@ -82,7 +81,6 @@ from .lens import (
     hamiltonian_metric,
     integrate_ray,
     ray_energy,
-    ray_positions,
     uniform_field,
 )
 from .pairs import (

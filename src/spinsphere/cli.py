@@ -52,7 +52,6 @@ from .lens import (
     LENS_DTAU,
     LENS_MISS_TOL,
     LensSearchError,
-    RayState,
     design_lens,
     integrate_ray,
     ray_energy,
@@ -101,7 +100,7 @@ PARAMS = {
     "region_alpha": Param(float, math.pi / 8.0, "capture half-width in alpha, in (0, pi/8]"),
     "region_beta": Param(float, math.pi / 8.0, "capture half-width in beta, in (0, pi/8]"),
     "displacement": Param(float, 0.1, "lens target offset across the initial ray"),
-    "span": Param(float, 1.0, "lens target distance along the initial ray"),
+    "span": Param(float, 1.0, "lens target distance along the initial ray", _POSITIVE),
     "outcomes_csv": Param(int, 0, "also write per-trial outcome rows (born)",
                           (lambda v: v in (0, 1), "must be 0 or 1"), switch=True),
 }
@@ -394,14 +393,14 @@ def run_lens(cfg, out_dir: Path) -> dict:
     target = np.array([cfg["span"], cfg["displacement"]])
     design = design_lens(start, v0, target)
     n_steps = int(2.5 * cfg["span"] / LENS_DTAU)
-    states = integrate_ray(RayState(start, v0, 0.0), design.field, LENS_DTAU, n_steps)
+    ray = integrate_ray(start, v0, design.field, LENS_DTAU, n_steps)
+    q, v = ray[:, 0], ray[:, 1]
+    taus = LENS_DTAU * np.arange(n_steps + 1)
     write_csv(
         out_dir / "lens_0.csv",
         ["tau", "q0", "q1", "energy"],
-        (
-            (s.tau, float(s.q[0]), float(s.q[1]), ray_energy(s, design.field))
-            for s in states
-        ),
+        zip(taus.tolist(), q[:, 0].tolist(), q[:, 1].tolist(),
+            ray_energy(q, v, design.field).tolist()),
     )
     return {
         "metrics": {

@@ -347,17 +347,25 @@ def _sharded_trials(windows, keys, max_steps):
     Streams are counter-based, so each trial's outcome does not depend on
     the slice that runs it and the result is bit-identical to one
     _run_trials call over all keys.  Small batches, and processes limited
-    to one CPU, run in this process.
+    to one CPU, run in this process.  So does a batch whose pool lost a
+    worker (say, to the kernel's OOM killer); the pool is dropped, and
+    the next large batch forks a new one.
     """
     workers = _worker_count()
     if workers < 2 or keys.size < _SHARD_MIN_TRIALS:
         return _run_trials(windows, keys, 0, max_steps)
+    from concurrent.futures.process import BrokenProcessPool
+
     # Two slices per worker: a worker whose first slice ends early takes
     # up another, which evens out the slices' geometric tails.
     pool = _shard_pool(workers)
-    futures = [pool.submit(_run_trials, windows, part, 0, max_steps)
-               for part in np.array_split(keys, 2 * workers)]
-    parts = [future.result() for future in futures]
+    try:
+        futures = [pool.submit(_run_trials, windows, part, 0, max_steps)
+                   for part in np.array_split(keys, 2 * workers)]
+        parts = [future.result() for future in futures]
+    except BrokenProcessPool:
+        _close_pool()
+        return _run_trials(windows, keys, 0, max_steps)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -6,13 +6,16 @@ metric satisfy the geometrical-optics ray equation
     d^2 q / d tau^2 = (1/2) grad(eta^2),
 
 i.e. Newtonian motion of a unit mass in the potential U = -eta^2 / 2.
-The ray invariant E = |v|^2/2 - eta^2(q)/2 is conserved, which is the
-integrator's primary diagnostic.  `design_lens` searches a family of
-localized Gaussian perturbations of eta^2 for one that bends a given ray
-onto a target point ("denting" the space so the geodesic lands where the
-measurement wants it); `hamiltonian_metric` evaluates the scale-isometric
-metric Re(h^-2 xi, eta) / |phi|^2 whose geodesics are the unitary
-evolution itself.
+A field carries eta^2 and its analytic gradient.  `integrate_ray`
+returns a ray as one array with a (q, v) row per leapfrog step.  The ray
+invariant E = |v|^2/2 - eta^2(q)/2 is conserved, which is the
+integrator's primary diagnostic; `ray_energy` evaluates it along a ray.
+`design_lens` searches a family of localized Gaussian perturbations of
+eta^2 for one that bends a given ray onto a target point ("denting" the
+space so the geodesic lands where the measurement wants it);
+`hamiltonian_metric` evaluates the scale-isometric metric
+Re(h^-2 xi, eta) / |phi|^2 whose geodesics are the unitary evolution
+itself.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ class SingularHamiltonianError(ValueError):
 
 
 class RefractiveField:
-    """Scalar field eta^2 over chart coordinates, with its gradient.
+    """Scalar field eta^2 over chart coordinates, with its analytic gradient.
 
-    If no analytic gradient is supplied, central differences with step
-    1e-6 are used.  eta^2 must be positive wherever it is evaluated.
+    Both functions take a float array q.  eta^2 must be positive and
+    finite wherever it is evaluated; a failure of either function is
+    raised as FieldEvaluationError naming q.
     """
 
-    def __init__(self, eta_sq_fn, grad_fn=None):
+    def __init__(self, eta_sq_fn, grad_fn):
         self._eta_sq_fn = eta_sq_fn
         self._grad_fn = grad_fn
 
@@ -65,18 +69,10 @@ class RefractiveField:
 
     def grad_eta_sq(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if self._grad_fn is not None:
-            try:
-                return np.asarray(self._grad_fn(q), dtype=float)
-            except Exception as exc:
-                raise FieldEvaluationError(f"grad eta^2 failed at q={q}") from exc
-        h = 1e-6
-        grad = np.empty_like(q)
-        for i in range(q.size):
-            dq = np.zeros_like(q)
-            dq[i] = h
-            grad[i] = (self.eta_sq(q + dq) - self.eta_sq(q - dq)) / (2.0 * h)
-        return grad
+        try:
+            return np.asarray(self._grad_fn(q), dtype=float)
+        except Exception as exc:
+            raise FieldEvaluationError(f"grad eta^2 failed at q={q}") from exc
 
 
 def uniform_field() -> RefractiveField:
@@ -102,56 +98,44 @@ def gaussian_bump_field(center, amplitude: float, width: float) -> RefractiveFie
     return RefractiveField(eta_sq, grad)
 
 
-@dataclass(frozen=True)
-class RayState:
-    """Ray sample: chart position q, velocity v = dq/dtau, parameter tau."""
-
-    q: np.ndarray
-    v: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(-1).copy()
-        v = np.asarray(self.v, dtype=float).reshape(-1).copy()
-        if q.shape != v.shape:
-            raise ValueError("q and v must have matching dimension")
-        q.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
-
-
-def ray_energy(state: RayState, field: RefractiveField) -> float:
-    """Conserved ray invariant E = |v|^2 / 2 - eta^2(q) / 2."""
-    return 0.5 * float(np.dot(state.v, state.v)) - 0.5 * field.eta_sq(state.q)
+def ray_energy(q, v, field: RefractiveField) -> np.ndarray:
+    """Conserved ray invariant E = |v|^2 / 2 - eta^2(q) / 2 of every row of
+    the positions q and velocities v, each of shape (n, dim)."""
+    return np.array([
+        0.5 * float(np.dot(v_k, v_k)) - 0.5 * field.eta_sq(q_k)
+        for q_k, v_k in zip(q, v)
+    ])
 
 
 def integrate_ray(
-    start: RayState, field: RefractiveField, dtau: float, n_steps: int
-) -> list[RayState]:
-    """Leapfrog (velocity Verlet) integration of the ray equation.
+    q0, v0, field: RefractiveField, dtau: float, n_steps: int
+) -> np.ndarray:
+    """Leapfrog (velocity Verlet) integration of the ray equation from
+    position q0 and velocity v0 = dq/dtau at tau = 0.
 
-    Returns n_steps + 1 samples including the start.  The scheme is
+    Returns an array of shape (n_steps + 1, 2, dim): ray[k, 0] is q and
+    ray[k, 1] is v at tau = k * dtau, the start included.  The scheme is
     symplectic, so E oscillates within an O(dtau^2) band instead of
     drifting.
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
-    q = start.q.copy()
-    v = start.v.copy()
-    out = [RayState(q, v, start.tau)]
+    q = np.asarray(q0, dtype=float).reshape(-1)
+    v = np.asarray(v0, dtype=float).reshape(-1)
+    if q.shape != v.shape:
+        raise ValueError("q0 and v0 must have matching dimension")
+    ray = np.empty((n_steps + 1, 2, q.size))
+    ray[0, 0] = q
+    ray[0, 1] = v
     acc = 0.5 * field.grad_eta_sq(q)
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         v_half = v + 0.5 * dtau * acc
         q = q + dtau * v_half
         acc = 0.5 * field.grad_eta_sq(q)
         v = v_half + 0.5 * dtau * acc
-        out.append(RayState(q, v, start.tau + (k + 1) * dtau))
-    return out
-
-
-def ray_positions(states: list[RayState]) -> np.ndarray:
-    return np.array([s.q for s in states])
+        ray[k, 0] = q
+        ray[k, 1] = v
+    return ray
 
 
 def _min_distance_to_point(positions: np.ndarray, target: np.ndarray) -> float:
@@ -210,8 +194,7 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
     n_steps = int(2.5 * span / (speed * LENS_DTAU)) + 10
 
     def trace(field):
-        ray = integrate_ray(RayState(phi_a, v0, 0.0), field, LENS_DTAU, n_steps)
-        return ray_positions(ray)
+        return integrate_ray(phi_a, v0, field, LENS_DTAU, n_steps)[:, 0]
 
     flat_positions = trace(flat)
     flat_miss = _min_distance_to_point(flat_positions, target)

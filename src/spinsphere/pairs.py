@@ -6,10 +6,11 @@ zero-total-angular-momentum sector a phi+ psi- + b phi- psi+ is treated
 as an effective two-level system whose "classical" points are the
 product states phi+ psi- and phi- psi+; measuring the Z component of the
 first spin runs the single-push collapse machinery on (a, b) and reports
-structurally opposite values for the two particles.  A single
-measurement returns a MeasurementRecord; a batch returns the collapse
-kernel's arrays, with eigenstate e mapped to the spin values
-(1 - 2 e, 2 e - 1).
+structurally opposite values for the two particles.  Collapse to
+eigenstate e (0 for phi+ psi-, 1 for phi- psi+) gives the spin values
+(1 - 2 e, 2 e - 1), so they name the classical point reached.  A single
+measurement returns them in a MeasurementRecord with the collapse steps;
+a batch returns them as arrays.
 """
 
 from __future__ import annotations
@@ -116,18 +117,12 @@ class SingletSectorState:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Outcome of a joint Z measurement on the pair."""
+    """Outcome of a joint Z measurement on the pair: the spin values
+    (+1, -1) at phi+ psi- or (-1, +1) at phi- psi+, and the collapse steps."""
 
     first: int
     second: int
-    collapsed: SingletSectorState
     steps: int
-
-
-_CLASSICAL_POINTS = (
-    SingletSectorState(1.0, 0.0),  # phi+ psi-
-    SingletSectorState(0.0, 1.0),  # phi- psi+
-)
 
 
 def measure_first_z(
@@ -143,12 +138,7 @@ def measure_first_z(
     """
     outcome = run_collapse_trial(s.effective_spinor, region, rng)
     first = 1 - 2 * outcome.eigenstate
-    return MeasurementRecord(
-        first=first,
-        second=-first,
-        collapsed=_CLASSICAL_POINTS[outcome.eigenstate],
-        steps=outcome.steps,
-    )
+    return MeasurementRecord(first=first, second=-first, steps=outcome.steps)
 
 
 def run_epr_batch(

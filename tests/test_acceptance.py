@@ -37,13 +37,11 @@ from spinsphere.evolution import (
     speed_along,
 )
 from spinsphere.lens import (
-    RayState,
     design_lens,
     gaussian_bump_field,
     hamiltonian_metric,
     integrate_ray,
     ray_energy,
-    ray_positions,
     uniform_field,
 )
 from spinsphere.pairs import SingletSectorState, run_epr_batch
@@ -208,15 +206,13 @@ def test_criterion_7_markov_chain_collapse():
 
 def test_criterion_8_ray_integrator_and_lens():
     crit = Criterion(8, "conformal ray integrator + lens", 10.0)
-    straight = integrate_ray(
-        RayState((0.0, 0.0), (0.8, 0.6), 0.0), uniform_field(), 1e-3, 10_000
-    )
+    straight = integrate_ray((0.0, 0.0), (0.8, 0.6), uniform_field(), 1e-3, 10_000)
     expected = np.outer(1e-3 * np.arange(10_001), [0.8, 0.6])
-    line_dev = float(np.abs(ray_positions(straight) - expected).max())
+    line_dev = float(np.abs(straight[:, 0] - expected).max())
     assert line_dev < 1e-10
     gauss = gaussian_bump_field(center=(0.5, 0.3), amplitude=0.5, width=0.7)
-    states = integrate_ray(RayState((-1.5, 0.1), (1.0, 0.05), 0.0), gauss, 2e-4, 10_000)
-    energies = np.array([ray_energy(s, gauss) for s in states])
+    ray = integrate_ray((-1.5, 0.1), (1.0, 0.05), gauss, 2e-4, 10_000)
+    energies = ray_energy(ray[:, 0], ray[:, 1], gauss)
     drift = float(np.abs(energies - energies[0]).max())
     assert drift < 1e-8
     design = design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.1))

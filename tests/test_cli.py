@@ -84,6 +84,8 @@ def test_invalid_value_exits_2(tmp_path):
         (["e2-split"], "hbar=inf\n"),
         (["uncertainty"], "mu=inf\n"),
         (["bloch"], "bx=nan\n"),
+        (["lens", "--span", "-0.5", "--displacement", "0"], None),
+        (["lens"], "span=0\n"),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -91,7 +93,7 @@ def test_invalid_value_exits_2(tmp_path):
          "lens-displacement-inf", "e2-split-hbar-inf", "uncertainty-mu-inf",
          "bloch-bx-nan", "config-t-final-inf", "config-span-inf",
          "config-displacement-neg-inf", "config-hbar-inf", "config-mu-inf",
-         "config-bx-nan"],
+         "config-bx-nan", "lens-span-negative", "config-span-zero"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:

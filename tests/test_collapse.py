@@ -304,6 +304,23 @@ def test_batch_timeout_counts_every_trial(workers, monkeypatch):
     assert sharded == ([2] if workers == 2 else [])
 
 
+def test_batch_after_a_killed_worker_runs_serially_then_reforks(monkeypatch):
+    args = (state_with_weight(0.3), WIDE_BOX, 707, collapse._SHARD_MIN_TRIALS)
+    force_workers(monkeypatch, 1)
+    serial = run_collapse_batch(*args)
+    sharded = force_workers(monkeypatch, 2)
+    run_collapse_batch(*args)
+    broken = collapse._pool[2]
+    os.kill(next(iter(broken._processes)), signal.SIGKILL)
+    for _ in range(2):
+        outcomes, steps = run_collapse_batch(*args)
+        assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
+    # The batch after the kill dropped the broken pool; the next forked anew.
+    assert sharded == [2, 2, 2]
+    assert collapse._pool[2] is not broken
+    assert len(collapse._pool[2]._processes) == 2
+
+
 _KILLED_PARENT = """
 import sys, time
 sys.path.insert(0, sys.argv[1])

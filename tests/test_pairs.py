@@ -87,7 +87,6 @@ def test_classical_state_measures_deterministically():
     for i in range(5):
         record = measure_first_z(s, TrialStream(13, i))
         assert (record.first, record.second) == (1, -1)
-        assert record.collapsed.a == pytest.approx(1.0)
 
 
 def test_anti_correlation_structural():
