@@ -318,7 +318,6 @@ def test_batch_after_a_killed_worker_runs_serially_then_reforks(monkeypatch):
     # The batch after the kill dropped the broken pool; the next forked anew.
     assert sharded == [2, 2, 2]
     assert collapse._pool[2] is not broken
-    assert len(collapse._pool[2]._processes) == 2
 
 
 _KILLED_PARENT = """
