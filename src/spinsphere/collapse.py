@@ -29,17 +29,18 @@ stand for theta = F^-1(1 - u), alpha = pi/2 - pi u and beta = pi - 2 pi u.
 The kernel never inverts F: theta is tested on the raw 64-bit draw
 against one exact integer range per source, alpha and beta in uniform
 space.  The batch and single-trial paths share the kernel, so they
-produce bit-identical outcomes.  Large batches run the same kernel on
-contiguous slices of their trials in a pool of forked processes, one per
-CPU the process may use; since every trial owns its stream, the outcomes
-do not depend on the split.
+produce bit-identical outcomes.  A large batch runs the same kernel on
+contiguous slices of its trials in children forked for that batch, one
+per CPU the process may use, which exit before the batch returns; since
+every trial owns its stream, the outcomes do not depend on the split.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
+import mmap
 import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,9 +291,6 @@ def _run_trials(windows, keys, start, max_steps):
     return eigenstates, steps
 
 
-_pool = None  # (pid, workers, executor) of the shard pool, made on first use
-
-
 def _worker_count() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
     try:
@@ -301,72 +299,53 @@ def _worker_count() -> int:
         return 1
 
 
-def _shard_pool(workers: int):
-    """The persistent fork pool of `workers` processes for this process."""
-    global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
-        import concurrent.futures
-        import multiprocessing
-
-        _close_pool()
-        _pool = (os.getpid(), workers, concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_parent))
-    return _pool[2]
-
-
-def _exit_with_parent():
-    """Pool initializer: end this worker when the process that forked it
-    dies.  Without it a worker whose parent was killed waits for work
-    forever, holding the parent's stdout and stderr open."""
-    import multiprocessing.connection
-    import threading
-
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def watch():
-        multiprocessing.connection.wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-@atexit.register
-def _close_pool():
-    """Shut down this process's pool while the interpreter is still whole
-    (a pool collected during module teardown prints an ignored error)."""
-    global _pool
-    if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].shutdown()
-    _pool = None
-
-
 def _sharded_trials(windows, keys, max_steps):
-    """_run_trials on every CPU: contiguous key slices, results concatenated.
+    """_run_trials on every CPU: contiguous key slices, one forked child each.
 
-    Streams are counter-based, so each trial's outcome does not depend on
-    the slice that runs it and the result is bit-identical to one
-    _run_trials call over all keys.  Small batches, and processes limited
-    to one CPU, run in this process.  So does a batch whose pool lost a
-    worker (say, to the kernel's OOM killer); the pool is dropped, and
-    the next large batch forks a new one.
+    Streams are counter-based, so the result is bit-identical to one
+    _run_trials call over all keys.  Each child writes its slice into a
+    shared mapping; this process reaps every child before it returns or
+    raises, and reruns here the slice of a child that did not exit 0.
     """
-    workers = _worker_count()
-    if workers < 2 or keys.size < _SHARD_MIN_TRIALS:
+    workers, n = _worker_count(), keys.size
+    if workers < 2 or n < _SHARD_MIN_TRIALS:
         return _run_trials(windows, keys, 0, max_steps)
-    from concurrent.futures.process import BrokenProcessPool
+    shared = mmap.mmap(-1, 9 * n)
+    steps = np.frombuffer(shared, np.int64, n)
+    eigenstates = np.frombuffer(shared, np.int8, n, offset=8 * n)
 
-    # Two slices per worker: a worker whose first slice ends early takes
-    # up another, which evens out the slices' geometric tails.
-    pool = _shard_pool(workers)
+    def run(lo, hi):
+        eigenstates[lo:hi], steps[lo:hi] = _run_trials(windows, keys[lo:hi], 0, max_steps)
+
+    cuts = [n * i // workers for i in range(workers + 1)]
+    children = []
     try:
-        futures = [pool.submit(_run_trials, windows, part, 0, max_steps)
-                   for part in np.array_split(keys, 2 * workers)]
-        parts = [future.result() for future in futures]
-    except BrokenProcessPool:
-        _close_pool()
-        return _run_trials(windows, keys, 0, max_steps)
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        for lo, hi in zip(cuts, cuts[1:]):
+            # Hold signals (Ctrl-C) until the finally below knows the pid.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid:
+                    children.append((pid, lo, hi))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if pid == 0:
+                try:
+                    run(lo, hi)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+        while children:
+            pid, lo, hi = children[0]
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status:
+                run(lo, hi)
+    finally:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return eigenstates, steps
 
 
 def run_collapse_trial(
@@ -415,11 +394,11 @@ def run_collapse_batch(
     evaluated (the streams are counter-based, so skipping draws is free),
     and one sort of the sparse captures picks each trial's first.
 
-    A batch of at least _SHARD_MIN_TRIALS trials is split into contiguous
-    slices that run on every CPU of the process's affinity mask, in a fork
-    pool made on the first such batch and kept for the life of the
-    process.  The outcomes are the same bit for bit on any number of CPUs;
-    `taskset -c 0` keeps every batch in the calling process.
+    A batch of at least _SHARD_MIN_TRIALS trials is split into one
+    contiguous slice per CPU of the process's affinity mask, each run by a
+    child forked for this batch and reaped before it returns.  The
+    outcomes are the same bit for bit on any number of CPUs; `taskset -c 0`
+    keeps every batch in the calling process.
 
     Raises CollapseTimeoutError if any trial fails to terminate within
     max_steps.

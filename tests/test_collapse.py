@@ -244,16 +244,30 @@ def outcome_digest(outcomes, steps) -> str:
     ).hexdigest()
 
 
+_fork = os.fork
+
+
 def force_workers(monkeypatch, workers):
     """Make run_collapse_batch see `workers` CPUs: with 1 every batch runs
-    in this process, with 2 large batches shard over a 2-process pool.
-    Returns the list of worker counts of the sharded calls that follow."""
-    sharded = []
-    shard_pool = collapse._shard_pool
+    in this process, with more a large batch forks one child per CPU.
+    Returns the list of child pids forked by the calls that follow."""
+    forks = []
+
+    def fork():
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
     monkeypatch.setattr(collapse, "_worker_count", lambda: workers)
-    monkeypatch.setattr(collapse, "_shard_pool",
-                        lambda n: sharded.append(n) or shard_pool(n))
-    return sharded
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 BOTH_PATHS = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "sharded"])
@@ -276,76 +290,128 @@ BOTH_PATHS = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "sharded"
     ],
 )
 def test_batch_golden_digest(phi, region, seed, digest, workers, monkeypatch):
-    sharded = force_workers(monkeypatch, workers)
+    forks = force_workers(monkeypatch, workers)
     outcomes, steps = run_collapse_batch(phi, region, seed, 10_000)
     assert outcome_digest(outcomes, steps) == digest
-    assert sharded == ([2] if workers == 2 else [])
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_reaped(forks)
 
 
 def test_sharded_batch_with_uneven_slices(monkeypatch):
-    # 4 slices of 2,049, 2,049, 2,049 and 2,048 trials.
+    # Slices of 4,097 and 4,098 trials on 2 CPUs; 2,731, 2,732 and 2,732 on 3.
     args = (state_with_weight(0.3), WIDE_BOX, 606, collapse._SHARD_MIN_TRIALS + 3)
     force_workers(monkeypatch, 1)
     serial = run_collapse_batch(*args)
-    sharded = force_workers(monkeypatch, 2)
-    outcomes, steps = run_collapse_batch(*args)
-    assert sharded == [2]
-    assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
+    for workers in (2, 3):
+        forks = force_workers(monkeypatch, workers)
+        outcomes, steps = run_collapse_batch(*args)
+        assert len(forks) == workers
+        assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
 
 
 @BOTH_PATHS
 def test_batch_timeout_counts_every_trial(workers, monkeypatch):
     n = collapse._SHARD_MIN_TRIALS + 1
-    sharded = force_workers(monkeypatch, workers)
+    forks = force_workers(monkeypatch, workers)
     with pytest.raises(CollapseTimeoutError) as info:
         run_collapse_batch(state_with_weight(0.5), CaptureRegion(1e-4, 1e-4, 1e-4),
                            42, n, max_steps=50)
     assert str(info.value) == f"{n} of {n} trials exceeded 50 steps"
-    assert sharded == ([2] if workers == 2 else [])
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_reaped(forks)
 
 
-def test_batch_after_a_killed_worker_runs_serially_then_reforks(monkeypatch):
+def test_batch_reruns_the_slice_of_a_killed_child(monkeypatch):
     args = (state_with_weight(0.3), WIDE_BOX, 707, collapse._SHARD_MIN_TRIALS)
     force_workers(monkeypatch, 1)
     serial = run_collapse_batch(*args)
-    sharded = force_workers(monkeypatch, 2)
-    run_collapse_batch(*args)
-    broken = collapse._pool[2]
-    os.kill(next(iter(broken._processes)), signal.SIGKILL)
+    forks = force_workers(monkeypatch, 2)
+    parent, first_key = os.getpid(), derive_keys(707, np.arange(1))[0]
+    run_trials = collapse._run_trials
+
+    def kill_first_child(windows, keys, start, max_steps):
+        if os.getpid() != parent and keys[0] == first_key:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_trials(windows, keys, start, max_steps)
+
+    monkeypatch.setattr(collapse, "_run_trials", kill_first_child)
     for _ in range(2):
         outcomes, steps = run_collapse_batch(*args)
         assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
-    # The batch after the kill dropped the broken pool; the next forked anew.
-    assert sharded == [2, 2, 2]
-    assert collapse._pool[2] is not broken
+    # Each batch forked its own children and reaped them all.
+    assert len(forks) == 4
+    assert_reaped(forks)
 
 
+def test_children_are_reaped_when_the_parent_raises(monkeypatch):
+    forks = force_workers(monkeypatch, 2)
+    waitpid, calls = os.waitpid, []
+
+    def interrupted_waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        run_collapse_batch(state_with_weight(0.5), DEFAULT_REGION, 8,
+                           collapse._SHARD_MIN_TRIALS)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_a_ctrl_c_right_after_a_fork_still_reaps_the_child(monkeypatch):
+    forks = force_workers(monkeypatch, 2)
+    fork = os.fork
+
+    def fork_then_interrupt():
+        pid = fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_collapse_batch(state_with_weight(0.5), DEFAULT_REGION, 8,
+                           collapse._SHARD_MIN_TRIALS)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+# A parent that prints the pid of each child it forks, then runs a batch
+# long enough (about a second per slice) to be killed in the middle of it.
 _KILLED_PARENT = """
-import sys, time
+import os, sys
 sys.path.insert(0, sys.argv[1])
 from spinsphere import collapse
 from spinsphere.collapse import DEFAULT_REGION, run_collapse_batch
 from spinsphere.su2 import Spinor
+fork = os.fork
+def announce():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announce
 collapse._worker_count = lambda: 2
-run_collapse_batch(Spinor(1.0, 0.0), DEFAULT_REGION, 1, collapse._SHARD_MIN_TRIALS)
-print(*collapse._pool[2]._processes, flush=True)
-time.sleep(60)
+run_collapse_batch(Spinor(1.0, 0.0), DEFAULT_REGION, 1, 16 * collapse._SHARD_MIN_TRIALS)
 """
 
 
-def test_pool_workers_exit_with_a_killed_parent():
-    # Workers left behind would hold the pipe open, so reading the killed
-    # parent's output to its end would wait forever.
+def test_children_exit_with_a_killed_parent():
+    # An orphaned child finishes its own slice and exits; one that lived on
+    # would hold the pipe open, so reading the killed parent's output to
+    # its end would wait forever.
     src = os.path.dirname(os.path.dirname(collapse.__file__))
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, src],
                             stdout=subprocess.PIPE)
-    workers = [int(pid) for pid in proc.stdout.readline().split()]
-    assert len(workers) == 2
+    children = [int(proc.stdout.readline()) for _ in range(2)]
     proc.kill()
     try:
         proc.communicate(timeout=20)
     except subprocess.TimeoutExpired:
-        for pid in workers:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
 
