@@ -1,5 +1,6 @@
 """Absorbing-chain tests: harmonic bias, exact oracle, Monte Carlo walks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -86,3 +87,19 @@ def test_walk_determinism_and_guards():
         run_ruin_walks(chain, 0, seed=1, n_walks=10)
     with pytest.raises(CollapseTimeoutError):
         run_ruin_walks(chain, 4, seed=1, n_walks=10, max_steps=2)
+
+
+# Pinned (absorbed, steps) of the walk engine; any change to run_ruin_walks
+# or to the streams it reads must leave these bit-identical.
+@pytest.mark.parametrize(
+    "m, start, seed, n_walks, digest",
+    [
+        (12, 6, 1, 5000, "e80231d9c86b06b6d626f41050fdf2b0ca1564c2294c7742086ec67e53386b93"),
+        (60, 20, 7, 2000, "7b264e616ae881397884f2e5db9efd08cb2c0aab217c682fba288a4d75960870"),
+        (5, 1, 99, 5000, "b81eb3e853a99c895ebe08562896a5806e0efe127d187427d18ffd09ef32c8c0"),
+    ],
+)
+def test_walks_golden_digest(m, start, seed, n_walks, digest):
+    absorbed, steps = run_ruin_walks(build_markov_chain(m), start, seed, n_walks)
+    data = absorbed.astype("<u1").tobytes() + steps.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
