@@ -26,22 +26,26 @@ The capture kernel is the only code that maps draws to source
 coordinates.  A trial reads six draws of its per-trial stream (see
 `randomness`) per step, (theta, alpha, beta) for each source; draws u
 stand for theta = F^-1(1 - u), alpha = pi/2 - pi u and beta = pi - 2 pi u.
-The kernel never inverts F: theta is tested on the raw 64-bit draw
-against one exact integer range per source, alpha and beta in uniform
-space.  The batch and single-trial paths share the kernel, so they
-produce bit-identical outcomes.  A large batch runs the same kernel on
-contiguous slices of its trials in children forked for that batch, one
-per CPU the process may use, which exit before the batch returns; since
-every trial owns its stream, the outcomes do not depend on the split.
+The kernel never inverts F and turns no draw into a float: theta, alpha
+and beta are each tested on the raw 64-bit draw against one exact integer
+range per source, the grid points u = k 2^-53 of the box, so the capture
+law is a product of three counts.  The batch and single-trial paths share
+the kernel, so they produce bit-identical outcomes.  A large batch runs
+the same kernel on contiguous slices of its trials in children forked for
+that batch, one per CPU the process may use, which exit before the batch
+returns and die with the process that forked them; since every trial owns
+its stream, the outcomes do not depend on the split.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
 import signal
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -158,22 +162,6 @@ def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
     return theta, alpha, beta
 
 
-@dataclass(frozen=True)
-class _SourceWindow:
-    """Capture box of one source, as tests on its raw draws.
-
-    The theta draw b hits when (b - theta_start) mod 2^64 < theta_count
-    (see _theta_bit_range); alpha and beta are tested in uniform space.
-    """
-
-    theta_start: int
-    theta_count: int
-    alpha_center: float
-    alpha_halfwidth: float
-    beta_center: float
-    beta_halfwidth: float
-
-
 def _theta_u_interval(theta_c: float, d_theta: float) -> tuple[float, float]:
     """CDF values (lo, hi) of the box ends; lo > hi when the box wraps."""
     lo, hi = theta_c - d_theta, theta_c + d_theta
@@ -198,20 +186,31 @@ def _theta_bit_range(lo: float, hi: float) -> tuple[int, int]:
     return (first << 11) % 2**64, count << 11
 
 
-def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> _SourceWindow:
+def _circle_bit_range(center: float, halfwidth: float) -> tuple[int, int]:
+    """Circular range (start, count) of raw draws b whose u lies in the arc.
+
+    u = k 2^-53 with k = b >> 11 lies within halfwidth (< 1/2) of center on
+    the unit circle exactly for ceil((center - halfwidth) 2^53) <= k <=
+    floor((center + halfwidth) 2^53) mod 2^53, here in exact rationals.
+    """
+    c, w = Fraction(center), Fraction(halfwidth)
+    first = math.ceil((c - w) * _TWO53)
+    return (first << 11) % 2**64, (math.floor((c + w) * _TWO53) - first + 1) << 11
+
+
+def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> tuple:
+    """Raw-draw ranges (start, count) of theta, alpha and beta of a source.
+
+    Its draws b capture phi when (b - start) mod 2^64 < count holds for all
+    three; alpha = pi/2 - pi u and beta = pi - 2 pi u make the alpha and
+    beta boxes arcs of the unit circle in u.
+    """
     theta_c, alpha_c, beta_c = source_frame_coords(phi, anchor)
-    return _SourceWindow(
-        *_theta_bit_range(*_theta_u_interval(theta_c, region.d_theta)),
-        alpha_center=(math.pi / 2.0 - alpha_c) / math.pi,
-        alpha_halfwidth=region.d_alpha / math.pi,
-        beta_center=(math.pi - beta_c) / TWO_PI,
-        beta_halfwidth=region.d_beta / TWO_PI,
+    return (
+        _theta_bit_range(*_theta_u_interval(theta_c, region.d_theta)),
+        _circle_bit_range((math.pi / 2.0 - alpha_c) / math.pi, region.d_alpha / math.pi),
+        _circle_bit_range((math.pi - beta_c) / TWO_PI, region.d_beta / TWO_PI),
     )
-
-
-def _circ_dist(u, center):
-    d = np.abs(u - center) % 1.0
-    return np.minimum(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +243,9 @@ def _run_trials(windows, keys, start, max_steps):
     # Column c of a block is the theta draw of source c % 2 at tick c // 2.
     source = np.tile(np.arange(2), _BLOCK)
     offsets = 6 * (np.arange(2 * _BLOCK) // 2) + 3 * source
-    theta_start = np.array([w.theta_start for w in windows], dtype=np.uint64)[source]
-    theta_count = np.array([w.theta_count for w in windows], dtype=np.uint64)[source]
-    alpha_c, alpha_w, beta_c, beta_w = np.array(
-        [(w.alpha_center, w.alpha_halfwidth, w.beta_center, w.beta_halfwidth)
-         for w in windows]
-    ).T
+    # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
+    starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
+    theta_start, theta_count = starts[0][source], counts[0][source]
     bits_buf = np.empty(2 * _BLOCK * min(n, _ROWS), dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
@@ -271,16 +267,17 @@ def _run_trials(windows, keys, start, max_steps):
             hits.append(np.flatnonzero(hit) + r0 * width)
         row, col = np.divmod(np.concatenate(hits), width)
         k, draw = source[col], base + offsets[col]
-        ok = _circ_dist(uniforms_at(alive_keys[row], draw + 1), alpha_c[k]) <= alpha_w[k]
-        row, col, k, draw = row[ok], col[ok], k[ok], draw[ok]
-        d_beta = _circ_dist(uniforms_at(alive_keys[row], draw + 2), beta_c[k])
-        ok = d_beta <= beta_w[k]
-        if ok.any():
-            row, tick, k = row[ok], col[ok] // 2, k[ok]
-            frac = d_beta[ok] / beta_w[k]
-            # First capture per row; on a shared tick the smaller beta
-            # fraction wins and an exact tie goes to source 0.
-            order = np.lexsort((k, frac, tick, row))
+        for c in (1, 2):  # alpha, then beta, of the draws that hit so far
+            off = bits_at(alive_keys[row], draw + c) - starts[c, k]
+            ok = off < counts[c, k]
+            row, col, k, draw, off = row[ok], col[ok], k[ok], draw[ok], off[ok]
+        if row.size:
+            tick = col // 2
+            # First capture per row; on a shared tick the beta draw nearer
+            # the centre of its range wins (distance in half grid steps) and
+            # an exact tie goes to source 0.
+            j, m = (off >> 11).astype(np.int64), (counts[2, k] >> 11).astype(np.int64)
+            order = np.lexsort((k, np.abs(2 * j + 1 - m), tick, row))
             row, tick, k = row[order], tick[order], k[order]
             first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
             done = row[first]
@@ -318,7 +315,7 @@ def _sharded_trials(windows, keys, max_steps):
         eigenstates[lo:hi], steps[lo:hi] = _run_trials(windows, keys[lo:hi], 0, max_steps)
 
     cuts = [n * i // workers for i in range(workers + 1)]
-    children = []
+    children, parent, prctl = [], os.getpid(), ctypes.CDLL(None).prctl
     try:
         for lo, hi in zip(cuts, cuts[1:]):
             # Hold signals (Ctrl-C) until the finally below knows the pid.
@@ -331,6 +328,10 @@ def _sharded_trials(windows, keys, max_steps):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if pid == 0:
                 try:
+                    # Die with this process (PR_SET_PDEATHSIG), or now if it is gone.
+                    prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
+                    if os.getppid() != parent:
+                        os._exit(1)
                     run(lo, hi)
                     os._exit(0)
                 finally:
@@ -360,8 +361,8 @@ def run_collapse_trial(
     step; the state is held static between samples (high-frequency limit
     of the source noise).  The first source whose box contains the state's
     coordinates decides the outcome; if both capture on the same step the
-    tie goes to the source whose beta sample is fractionally closer (a
-    fair, draw-free coin).  The trial consumes six draws of rng per step.
+    tie goes to the source whose beta draw lies nearer the centre of its
+    range (a fair, draw-free coin).  The trial consumes six draws of rng per step.
 
     Raises CollapseTimeoutError if no capture occurs within max_steps.
     """
@@ -391,8 +392,9 @@ def run_collapse_batch(
     Each block tests the theta draws of both sources on their raw 64-bit
     values against one integer range per source, with no float
     conversion.  Only at the theta hits are the alpha and beta draws
-    evaluated (the streams are counter-based, so skipping draws is free),
-    and one sort of the sparse captures picks each trial's first.
+    evaluated, by the same integer test (the streams are counter-based, so
+    skipping draws is free), and one sort of the sparse captures picks
+    each trial's first.
 
     A batch of at least _SHARD_MIN_TRIALS trials is split into one
     contiguous slice per CPU of the process's affinity mask, each run by a

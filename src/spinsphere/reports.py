@@ -35,17 +35,10 @@ def write_json_report(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """RFC-4180 style CSV with a header row; '.' decimal via repr floats."""
+    """RFC-4180 style CSV with a header row; '.' decimal via str() of numbers."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        writer.writerows(rows)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinsphere import cli
@@ -246,6 +247,15 @@ def test_empty_csv_has_header_only(tmp_path):
     target = tmp_path / "empty.csv"
     write_csv(target, ["t", "x"], [])
     assert target.read_bytes() == b"t,x\r\n"
+
+
+def test_csv_cells_of_numpy_and_python_scalars(tmp_path):
+    target = tmp_path / "cells.csv"
+    write_csv(target, ["a", "b", "c", "d", "e"],
+              [[np.float64(0.1), 0.1, np.int64(3), 7, ""],
+               [np.float64(1e-300), 2.0 / 3.0, np.float32(0.5), -1, None]])
+    assert target.read_bytes() == (b"a,b,c,d,e\r\n0.1,0.1,3,7,\r\n"
+                                   b"1e-300,0.6666666666666666,0.5,-1,\r\n")
 
 
 def test_json_keys_sorted(tmp_path):

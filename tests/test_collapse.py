@@ -17,6 +17,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,10 +40,9 @@ from spinsphere.collapse import (
     theta_pdf,
 )
 from spinsphere.collapse import (
-    _circ_dist,
+    _circle_bit_range,
     _run_trials,
     _source_window,
-    _SourceWindow,
     _theta_bit_range,
     _theta_u_interval,
 )
@@ -379,13 +379,13 @@ def test_a_ctrl_c_right_after_a_fork_still_reaps_the_child(monkeypatch):
     assert_reaped(forks)
 
 
-# A parent that prints the pid of each child it forks, then runs a batch
-# long enough (about a second per slice) to be killed in the middle of it.
+# A parent that prints the pid of each child it forks, then runs a batch in
+# a box no trial can hit: each slice would run its 10^6 steps for minutes.
 _KILLED_PARENT = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
 from spinsphere import collapse
-from spinsphere.collapse import DEFAULT_REGION, run_collapse_batch
+from spinsphere.collapse import CaptureRegion, run_collapse_batch
 from spinsphere.su2 import Spinor
 fork = os.fork
 def announce():
@@ -395,21 +395,22 @@ def announce():
     return pid
 os.fork = announce
 collapse._worker_count = lambda: 2
-run_collapse_batch(Spinor(1.0, 0.0), DEFAULT_REGION, 1, 16 * collapse._SHARD_MIN_TRIALS)
+run_collapse_batch(Spinor(1.0, 0.0), CaptureRegion(1e-6, 1e-6, 1e-6), 1,
+                   2 * collapse._SHARD_MIN_TRIALS)
 """
 
 
 def test_children_exit_with_a_killed_parent():
-    # An orphaned child finishes its own slice and exits; one that lived on
-    # would hold the pipe open, so reading the killed parent's output to
-    # its end would wait forever.
+    # An orphaned child dies with its parent; one that lived on would hold
+    # the pipe open, so reading the killed parent's output to its end would
+    # not finish within the bound.
     src = os.path.dirname(os.path.dirname(collapse.__file__))
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, src],
                             stdout=subprocess.PIPE)
     children = [int(proc.stdout.readline()) for _ in range(2)]
     proc.kill()
     try:
-        proc.communicate(timeout=20)
+        proc.communicate(timeout=5)
     except subprocess.TimeoutExpired:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -446,22 +447,27 @@ def _theta_hit(u_theta, lo, hi):
     return lo <= u_theta <= hi
 
 
+def _circ_dist(u, center):
+    d = abs(u - center) % 1.0
+    return min(d, 1.0 - d)
+
+
 def _capture_from_uniforms(u6, windows):
     """Capture flags and tie fractions for one step's six uniforms.
 
     windows holds, per source, the CDF interval (lo, hi) of its theta box
-    and its _SourceWindow for alpha and beta.
+    and the (center, halfwidth) in u of its alpha and beta boxes.
     """
     captured = []
     fractions = []
-    for k, ((lo, hi), w) in enumerate(windows):
+    for k, ((lo, hi), (alpha_c, alpha_w), (beta_c, beta_w)) in enumerate(windows):
         ok = _theta_hit(1.0 - u6[3 * k], lo, hi)
         if ok:
-            ok = bool(_circ_dist(u6[3 * k + 1], w.alpha_center) <= w.alpha_halfwidth)
+            ok = _circ_dist(u6[3 * k + 1], alpha_c) <= alpha_w
         if ok:
-            d_beta = _circ_dist(u6[3 * k + 2], w.beta_center)
-            ok = bool(d_beta <= w.beta_halfwidth)
-            fractions.append(float(d_beta) / w.beta_halfwidth)
+            d_beta = _circ_dist(u6[3 * k + 2], beta_c)
+            ok = d_beta <= beta_w
+            fractions.append(float(d_beta) / beta_w)
         else:
             fractions.append(2.0)
         captured.append(ok)
@@ -480,13 +486,17 @@ def oracle_trial(windows, rng, max_steps):
 
 
 def oracle_windows(phi, region):
-    return [
-        (
-            _theta_u_interval(source_frame_coords(phi, k)[0], region.d_theta),
-            _source_window(phi, k, region),
-        )
-        for k in (0, 1)
-    ]
+    """Float boxes of both sources: the CDF interval of the theta box, and
+    the alpha = pi/2 - pi u and beta = pi - 2 pi u boxes as arcs in u."""
+    windows = []
+    for k in (0, 1):
+        theta_c, alpha_c, beta_c = source_frame_coords(phi, k)
+        windows.append((
+            _theta_u_interval(theta_c, region.d_theta),
+            ((math.pi / 2 - alpha_c) / math.pi, region.d_alpha / math.pi),
+            ((math.pi - beta_c) / (2 * math.pi), region.d_beta / (2 * math.pi)),
+        ))
+    return windows
 
 
 @pytest.mark.parametrize(
@@ -509,33 +519,38 @@ def test_kernel_matches_scalar_oracle(phi, region):
         assert (int(out[i]), int(steps[i])) == expected
 
 
-@pytest.mark.parametrize("beta_offset, winner", [(0.0, 0), (0.5, 1)])
-def test_kernel_same_tick_tie(beta_offset, winner):
+def _grid_range(first, count):
+    """Raw-draw range of the grid points first, ..., first + count - 1."""
+    return (first << 11) % 2**64, count << 11
+
+
+# Per source, the beta range (a, m): its m grid points start a points below
+# the grid point of the beta draw, which so lies |2 a + 1 - m| half grid
+# steps from the centre of the range.
+@pytest.mark.parametrize(
+    "beta0, beta1, winner",
+    [
+        pytest.param((40, 81), (40, 81), 0, id="both-centred"),
+        pytest.param((43, 81), (37, 81), 0, id="both-3-steps-off"),
+        pytest.param((41, 81), (40, 81), 1, id="1-nearer-by-a-step"),
+        pytest.param((40, 81), (39, 81), 0, id="0-nearer-by-a-step"),
+        pytest.param((40, 82), (40, 81), 1, id="1-nearer-by-half-a-step"),
+    ],
+)
+def test_kernel_same_tick_tie(beta0, beta1, winner):
     # Both sources capture at tick 5 of stream 1 and at no earlier tick:
-    # each theta box is the single point 1 - u of that tick's draw.  With
-    # equal beta fractions source 0 wins; a smaller fraction for source 1
-    # (source 0's beta sits beta_offset half-widths off centre) wins for 1.
+    # each theta and alpha range is the single grid point of that tick's draw.
     keys = derive_keys(707, np.arange(3))
     tick = 5
-    u = uniforms_at(keys[1], 6 * tick + np.arange(6))
-    halfwidth = 1e-3
-    windows = []
-    for k in (0, 1):
-        interval = (1.0 - u[3 * k], 1.0 - u[3 * k])
-        beta_center = u[3 * k + 2] - (beta_offset * halfwidth if k == 0 else 0.0)
-        window = _SourceWindow(
-            *_theta_bit_range(*interval),
-            alpha_center=u[3 * k + 1],
-            alpha_halfwidth=halfwidth,
-            beta_center=beta_center,
-            beta_halfwidth=halfwidth,
-        )
-        windows.append((interval, window))
-    out, steps = _run_trials([w for _, w in windows], keys, 0, tick + 10)
+    grid = [int(b) >> 11 for b in bits_at(keys[1], 6 * tick + np.arange(6))]
+    windows = [
+        (_grid_range(grid[3 * k], 1), _grid_range(grid[3 * k + 1], 1),
+         _grid_range(grid[3 * k + 2] - a, m))
+        for k, (a, m) in enumerate((beta0, beta1))
+    ]
+    out, steps = _run_trials(windows, keys, 0, tick + 10)
     assert out.tolist() == [-1, winner, -1]
     assert steps[1] == tick + 1
-    stream = TrialStream(707, 1)
-    assert oracle_trial(windows, stream, tick + 10) == (winner, tick + 1)
 
 
 def _bit_range_member(b, start, count):
@@ -566,6 +581,38 @@ def test_theta_bit_range_boundaries():
             b %= 2**64
             assert _bit_range_member(b, start, count) == _float_member(b, lo, hi), (
                 lo, hi, b)
+
+
+def _exact_arc_member(b, center, halfwidth):
+    d = (Fraction(b >> 11, 2**53) - Fraction(center)) % 1
+    return min(d, 1 - d) <= Fraction(halfwidth)
+
+
+def test_circle_bit_range_boundaries():
+    # Alpha and beta ranges against exact rational membership of the grid
+    # point u = (b >> 11) 2^-53 in the arc, at both ends of each range.
+    rng = np.random.default_rng(909)
+    step = 2.0**-53
+    arcs = [(rng.random(), rng.uniform(1e-6, 1 / 16)) for _ in range(100)]
+    arcs += [(rng.uniform(0, 0.01), 0.02) for _ in range(20)]          # wrap below 0
+    arcs += [(1 - rng.uniform(0, 0.01), 0.02) for _ in range(20)]      # wrap above 1
+    arcs += [(0.0, 0.1), (0.5, 1 / 16), (1 - step, 1 / 16), (0.25, step),
+             (0.25, step / 2), (0.25 + step / 4, step / 2), (0.25, 1e-300),
+             (rng.random(), 3 * step), (0.75, 3 * step)]                 # tiny
+    for phi in (Spinor(0.6, 0.8j), Spinor(0.5 - 0.5j, -0.7), state_with_weight(0.3)):
+        for k in (0, 1):
+            _, alpha_c, beta_c = source_frame_coords(phi, k)
+            arcs += [((math.pi / 2 - alpha_c) / math.pi, math.pi / 8 / math.pi),
+                     ((math.pi - beta_c) / (2 * math.pi), 0.2 / (2 * math.pi))]
+    for center, halfwidth in arcs:
+        start, count = _circle_bit_range(center, halfwidth)
+        first, last = start, (start + count - 1) % 2**64
+        probes = [first - 1, first, last, last + 1]
+        probes += [int(b) for b in rng.integers(0, 2**64, size=20, dtype=np.uint64)]
+        for b in probes:
+            b %= 2**64
+            assert _bit_range_member(b, start, count) == _exact_arc_member(
+                b, center, halfwidth), (center, halfwidth, b)
 
 
 def test_eigenstate_collapses_to_itself():
@@ -612,6 +659,38 @@ def test_finite_box_law():
     for p0, agrees in ((finite_box, True), (c1_sq, False)):
         z = (freq - p0) / math.sqrt(p0 * (1.0 - p0) / n)
         assert (abs(z) <= 3.0) == agrees, (p0, z)
+
+
+def _window_law(phi, region):
+    """(P0, p_any) of the law the kernel's integer windows realize.
+
+    Source k captures on a tick with p_k = (theta count)(alpha count)(beta
+    count) / 2^192.  A same-tick double capture is a fair coin (both beta
+    ranges have one length, up to a grid point), so P0 = p0 (1 - p1/2) /
+    p_any, and the steps are geometric with mean 1/p_any.
+    """
+    p0, p1 = (Fraction(math.prod(count for _, count in _source_window(phi, k, region)),
+                       2**192) for k in (0, 1))
+    p_any = p0 + p1 - p0 * p1
+    return float(p0 * (1 - p1 / 2) / p_any), float(p_any)
+
+
+@pytest.mark.parametrize(
+    "c1_sq, region, n",
+    [
+        (0.9, WIDE_BOX, 50_000),
+        (1.0, DEFAULT_REGION, 20_000),
+        (0.75, DEFAULT_REGION, 20_000),
+        (0.3, CaptureRegion(math.pi / 16, math.pi / 8, math.pi / 8), 20_000),
+    ],
+)
+def test_engine_realizes_the_window_law(c1_sq, region, n):
+    phi = state_with_weight(c1_sq)
+    out, steps = run_collapse_batch(phi, region, seed=11, n_trials=n)
+    p0, p_any = _window_law(phi, region)
+    z_freq = (float(np.mean(out == 0)) - p0) / math.sqrt(p0 * (1.0 - p0) / n)
+    z_steps = (float(steps.mean()) - 1.0 / p_any) / (math.sqrt((1.0 - p_any) / n) / p_any)
+    assert abs(z_freq) <= 3.0 and abs(z_steps) <= 3.0, (z_freq, z_steps)
 
 
 def test_memoryless_capture():
