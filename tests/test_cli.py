@@ -263,3 +263,20 @@ def test_json_keys_sorted(tmp_path):
     text = (tmp_path / "curvature_report.json").read_text()
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+def test_markov_walk_frequencies_pinned(tmp_path):
+    # Absorption counts of the 20,000 walks per start at seed 42.  These are
+    # exact count/n values, so any change to the walk engine or its streams
+    # shows here; exact_u is left out (its last bits depend on LAPACK).
+    assert run_cli(["markov", "--trials", "20000", "--seed", "42",
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "markov_report.json").read_text())
+    counts = [18720, 14924, 9973, 5012, 1404]
+    expected = [c / 20_000 for c in counts]
+    assert report["metrics"]["walk_starts"] == [10, 20, 30, 40, 50]
+    assert report["metrics"]["mc_frequencies"] == expected
+    lines = (tmp_path / "markov_0.csv").read_text().splitlines()
+    column = [line.split(",")[2] for line in lines[1:]]
+    assert [cell for cell in column if cell] == [repr(f) for f in expected]
+    assert [i for i, cell in enumerate(column) if cell] == [10, 20, 30, 40, 50]
