@@ -20,7 +20,8 @@ nearest-neighbor Markov chain on the grid theta_i = i pi / m whose
 toward-zero bias is fixed by requiring h(theta) = cos^2(theta/2) to be
 harmonic (a martingale), making the absorption probabilities equal h
 exactly.  Both mechanisms, plus the exact linear-solve oracle for the
-chain, live here.
+chain, live here.  The walks run in blocks of ticks like the kernel, and a
+draw b steps its walk toward 0 when b >> 11 < ceil(p 2^53), i.e. u < p.
 
 The capture kernel is the only code that maps draws to source
 coordinates.  A trial reads six draws of its per-trial stream (see
@@ -50,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bloch import hopf_project, spinor_from_bloch
-from .randomness import TrialStream, bits_at, derive_keys, uniforms_at
+from .randomness import TrialStream, bits_at, derive_keys
 from .su2 import Spinor
 
 TWO_PI = 2.0 * math.pi
@@ -509,6 +510,12 @@ def absorption_probabilities(chain: MarkovChainModel) -> np.ndarray:
     return u
 
 
+def _walk_thresholds(chain: MarkovChainModel) -> np.ndarray:
+    """Entry _BLOCK + i: ceil(p_i 2^53) inside, 2^53 (toward 0) at i <= 0, 0 (away) at i >= m."""
+    pad = np.full(_BLOCK + 1, _TWO53)
+    return np.r_[pad, np.ceil(chain.toward_zero_prob * _TWO53), 0 * pad].astype(np.uint64)
+
+
 def run_ruin_walks(
     chain: MarkovChainModel,
     start_index: int,
@@ -518,30 +525,43 @@ def run_ruin_walks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo walks; returns (absorbed_at_zero, steps) per walk.
 
-    Walk w draws from the per-walk stream (seed, w), one uniform per step.
+    Step t of walk w tests draw t of the per-walk stream (seed, w) against
+    `_walk_thresholds`.  Each block of _BLOCK ticks makes one bits_at call
+    per slab of at most _ROWS alive walks into a buffer of that bound.  An
+    absorbed walk keeps stepping away, so its overshoot at the end of the
+    block gives its last step; `alive` is compacted once per block.
     """
     if not 0 < start_index < chain.m:
         raise ValueError("start_index must be an interior state")
     keys = derive_keys(seed, np.arange(n_walks))
-    absorbed = np.zeros(n_walks, dtype=bool)
-    steps = np.zeros(n_walks, dtype=np.int64)
-    position = np.full(n_walks, start_index, dtype=np.int64)
-    alive = np.arange(n_walks)
-    p = chain.toward_zero_prob
-    tick = 0
-    while alive.size and tick < max_steps:
-        u = uniforms_at(keys[alive], tick)
-        toward = u < p[position[alive] - 1]
-        position[alive] += np.where(toward, -1, 1)
-        tick += 1
-        done = (position[alive] == 0) | (position[alive] == chain.m)
-        if done.any():
-            finished = alive[done]
-            absorbed[finished] = position[finished] == 0
-            steps[finished] = tick
-            alive = alive[~done]
+    absorbed, steps = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
+    # At tick c of a block, pos = position + c (+2 per step away, +0 toward 0) indexes views[c].
+    thresholds = _walk_thresholds(chain)
+    views = [thresholds[_BLOCK - c :] for c in range(_BLOCK)]
+    alive, position = np.arange(n_walks), np.full(n_walks, start_index)
+    buf = np.empty((2, _BLOCK * min(n_walks, _ROWS)), dtype=np.uint64)
+    tick0 = 0
+    while alive.size and tick0 < max_steps:
+        width = min(_BLOCK, max_steps - tick0)
+        for r0 in range(0, alive.size, _ROWS):
+            pos = position[r0 : r0 + _ROWS]
+            bits, scratch = buf[:, : width * pos.size].reshape(2, width, pos.size)
+            bits_at(keys[r0 : r0 + pos.size], np.arange(tick0, tick0 + width)[:, None],
+                    out=bits, scratch=scratch)
+            np.right_shift(bits, np.uint64(11), out=bits)
+            thr, away = np.empty(pos.size, dtype=np.uint64), np.empty(pos.size, dtype=bool)
+            for view, row in zip(views, bits):
+                view.take(pos, out=thr, mode="clip")  # in range; "raise" would buffer
+                np.greater_equal(row, thr, out=away)
+                pos += away
+                pos += away
+            pos -= width
+        overshoot = np.maximum(-position, position - chain.m)
+        done = overshoot >= 0
+        absorbed[alive[done]] = position[done] <= 0
+        steps[alive[done]] = tick0 + width - overshoot[done]
+        alive, keys, position = alive[~done], keys[~done], position[~done]
+        tick0 += width
     if alive.size:
-        raise CollapseTimeoutError(
-            f"{alive.size} of {n_walks} walks exceeded {max_steps} steps"
-        )
+        raise CollapseTimeoutError(f"{alive.size} of {n_walks} walks exceeded {max_steps} steps")
     return absorbed, steps

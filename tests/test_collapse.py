@@ -30,11 +30,13 @@ from spinsphere.collapse import (
     CollapseOutcome,
     CollapseTimeoutError,
     born_statistics,
+    build_markov_chain,
     capture_probability,
     delta_distance_sq,
     delta_overlap,
     run_collapse_batch,
     run_collapse_trial,
+    run_ruin_walks,
     source_frame_coords,
     theta_cdf,
     theta_pdf,
@@ -295,6 +297,22 @@ def test_batch_golden_digest(phi, region, seed, digest, workers, monkeypatch):
     assert outcome_digest(outcomes, steps) == digest
     assert len(forks) == (workers if workers > 1 else 0)
     assert_reaped(forks)
+
+
+def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
+    # Both blocked engines read draws by absolute stream position, so odd
+    # block and slab widths must give the default widths' outputs exactly.
+    chain = build_markov_chain(60)
+    phi = state_with_weight(0.3)
+    n_trials = 1000
+    assert n_trials < collapse._SHARD_MIN_TRIALS  # the serial batch path
+    walks = run_ruin_walks(chain, 20, 13, 1500)
+    batch = run_collapse_batch(phi, WIDE_BOX, 14, n_trials)
+    monkeypatch.setattr(collapse, "_BLOCK", 5)
+    monkeypatch.setattr(collapse, "_ROWS", 7)
+    for want, got in ((walks, run_ruin_walks(chain, 20, 13, 1500)),
+                      (batch, run_collapse_batch(phi, WIDE_BOX, 14, n_trials))):
+        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
 
 
 def test_sharded_batch_with_uneven_slices(monkeypatch):

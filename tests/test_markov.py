@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from spinsphere import collapse
 from spinsphere.collapse import (
     CollapseTimeoutError,
     absorption_probabilities,
     build_markov_chain,
     run_ruin_walks,
 )
+from spinsphere.randomness import TrialStream
 
 
 def test_minimal_chain_bias():
@@ -103,3 +105,77 @@ def test_walks_golden_digest(m, start, seed, n_walks, digest):
     absorbed, steps = run_ruin_walks(build_markov_chain(m), start, seed, n_walks)
     data = absorbed.astype("<u1").tobytes() + steps.astype("<i8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def oracle_walks(chain, start, seed, n_walks):
+    """Scalar reference: walk w steps toward 0 at step t when draw t of
+    TrialStream(seed, w) is below p of its state; runs until absorbed."""
+    p = chain.toward_zero_prob
+    absorbed, steps = [], []
+    for w in range(n_walks):
+        stream, position, t = TrialStream(seed, w), start, 0
+        while 0 < position < chain.m:
+            position += -1 if stream.uniforms(1)[0] < p[position - 1] else 1
+            t += 1
+        absorbed.append(position == 0)
+        steps.append(t)
+    return np.array(absorbed, dtype=bool), np.array(steps, dtype=np.int64)
+
+
+ORACLE_CASES = [(2, 1, 5, 300), (5, 2, 6, 300), (60, 3, 8, 300)]
+
+
+@pytest.mark.parametrize("m, start, seed, n_walks", ORACLE_CASES)
+def test_walks_match_scalar_oracle(m, start, seed, n_walks):
+    chain = build_markov_chain(m)
+    absorbed, steps = run_ruin_walks(chain, start, seed, n_walks)
+    want_absorbed, want_steps = oracle_walks(chain, start, seed, n_walks)
+    assert absorbed.dtype == bool and steps.dtype == np.int64
+    assert np.array_equal(absorbed, want_absorbed)
+    assert np.array_equal(steps, want_steps)
+
+
+@pytest.mark.parametrize("m, start, seed, n_walks", ORACLE_CASES)
+def test_walk_step_budget_edges(m, start, seed, n_walks):
+    # The longest walk ends exactly at its own step count, so a budget of
+    # that many steps passes and one less fails; budgets 1 and 31-33 sit
+    # around the block width of 32 ticks.
+    chain = build_markov_chain(m)
+    want = oracle_walks(chain, start, seed, n_walks)
+    longest = int(want[1].max())
+    for budget in sorted({longest, longest - 1, 1, 31, 32, 33}):
+        over = int(np.count_nonzero(want[1] > budget))
+        if over:
+            message = f"{over} of {n_walks} walks exceeded {budget} steps"
+            with pytest.raises(CollapseTimeoutError, match=f"^{message}$"):
+                run_ruin_walks(chain, start, seed, n_walks, max_steps=budget)
+        else:
+            absorbed, steps = run_ruin_walks(chain, start, seed, n_walks, max_steps=budget)
+            assert np.array_equal(absorbed, want[0]) and np.array_equal(steps, want[1])
+
+
+def test_zero_walks_return_empty_arrays():
+    absorbed, steps = run_ruin_walks(build_markov_chain(5), 2, seed=1, n_walks=0)
+    assert absorbed.shape == steps.shape == (0,)
+    assert absorbed.dtype == bool and steps.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [2, 3, 60, 301])
+def test_walk_thresholds_match_the_float_test(m):
+    # A draw b steps toward 0 when k = b >> 11 is below the table entry of
+    # its state; for interior states that must be exactly u = k 2^-53 < p.
+    chain = build_markov_chain(m)
+    table = collapse._walk_thresholds(chain)
+    block = collapse._BLOCK
+    assert table.dtype == np.uint64 and table.size == m + 1 + 2 * block
+    for i, p in enumerate(chain.toward_zero_prob, start=1):
+        c = math.ceil(p * 2**53)
+        for k in (c - 1, c):
+            for b in (k << 11, (k << 11) | 0x7FF):
+                assert ((b >> 11) < int(table[block + i])) == (k * 2.0**-53 < p)
+        assert (c - 1) * 2.0**-53 < p <= c * 2.0**-53
+    # The pads force the step: toward 0 at or below state 0, away at or
+    # above state m, for the smallest and the largest draw alike.
+    for k in (0, 2**53 - 1):
+        assert all(k < int(t) for t in table[: block + 1])
+        assert not any(k < int(t) for t in table[block + m :])
