@@ -6,11 +6,15 @@ measures curvature with no Lie algebra at all (circumference defect of
 small geodesic circles on S^3 in R^4).
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from spinsphere.cli import main
 from spinsphere.curvature import (
     DegeneratePlaneError,
     OrthogonalityError,
@@ -188,3 +192,59 @@ def test_identity_random_orthogonal_pairs():
         lhs, rhs = commutator_curvature_identity(x, y)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The curvature CLI against a scalar loop
+# ---------------------------------------------------------------------------
+
+def _scalar_curvature_run(planes, seed):
+    """Plane-by-plane oracle of `spinsphere curvature`.
+
+    Draws each plane with two size-3 normal calls and evaluates K and the
+    identity residual one 3-vector at a time with np.cross and
+    0.25 * np.dot, the arithmetic the CLI must reproduce bit for bit.
+    """
+
+    def inner(a, b):
+        return 0.25 * float(np.dot(a, b))
+
+    def gram(a, b):
+        return inner(a, a) * inner(b, b) - inner(a, b) * inner(a, b)
+
+    rng = np.random.default_rng(seed)
+    eye = np.eye(3)
+    pairs = [(eye[0], eye[1]), (eye[1], eye[2]), (eye[2], eye[0])]
+    for _ in range(planes):
+        x = rng.normal(size=3, scale=2.0)
+        y = rng.normal(size=3, scale=2.0)
+        pairs.append((x, y))
+    ks, worst_k, worst_id = [], 0.0, 0.0
+    for x, y in pairs:
+        c = np.cross(x, y)
+        k = 0.25 * inner(c, c) / gram(x, y)
+        ks.append(k)
+        worst_k = max(worst_k, abs(k - 1.0))
+        y = y - (inner(x, y) / inner(x, x)) * x
+        nx, ny = math.sqrt(inner(x, x)), math.sqrt(inner(y, y))
+        c = np.cross(x, y)
+        r_p = inner(0.25 * np.cross(c, x), y) / gram(x, y)
+        rhs = 4.0 * r_p * nx * nx * ny * ny
+        worst_id = max(worst_id, abs(inner(c, c) - rhs))
+    return ks, worst_k, worst_id
+
+
+@pytest.mark.parametrize("planes", [0, 3000])
+@pytest.mark.parametrize("seed", [7, 123456])
+def test_cli_matches_scalar_loop_bit_for_bit(tmp_path, planes, seed):
+    assert main(["curvature", "--planes", str(planes), "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    ks, worst_k, worst_id = _scalar_curvature_run(planes, seed)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["plane", "sectional_curvature"])
+    writer.writerows(enumerate(ks))
+    assert (tmp_path / "curvature_0.csv").read_bytes() == expected.getvalue().encode()
+    metrics = json.loads((tmp_path / "curvature_report.json").read_text())["metrics"]
+    assert metrics == {"max_sectional_deviation": worst_k,
+                       "max_commutator_identity_error": worst_id}
