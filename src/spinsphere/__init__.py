@@ -6,7 +6,6 @@ metric-perturbation model of collapse that reproduces the Born rule.
 """
 
 from .su2 import (
-    AlgebraElement,
     BlochVector,
     MatRep,
     Spinor,

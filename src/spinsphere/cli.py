@@ -58,7 +58,7 @@ from .lens import (
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
-from .su2 import AlgebraElement, Spinor, killing_inner
+from .su2 import Spinor, killing_inner
 
 
 class Param(NamedTuple):
@@ -259,23 +259,19 @@ def run_bloch(cfg, out_dir: Path) -> dict:
 
 def run_curvature(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
-    worst_sectional = 0.0
-    basis = [AlgebraElement.basis(k) for k in range(3)]
-    pairs = [(basis[0], basis[1]), (basis[1], basis[2]), (basis[2], basis[0])]
-    for _ in range(cfg["planes"]):
-        x = AlgebraElement.from_coords(rng.normal(size=3, scale=2.0))
-        y = AlgebraElement.from_coords(rng.normal(size=3, scale=2.0))
-        pairs.append((x, y))
-    rows = []
-    worst_identity = 0.0
-    for i, (x, y) in enumerate(pairs):
-        k = sectional_curvature(x, y)
-        worst_sectional = max(worst_sectional, abs(k - 1.0))
-        rows.append((i, k))
-        y_perp = y - (killing_inner(x, y) / killing_inner(x, x)) * x
-        lhs, rhs = commutator_curvature_identity(x, y_perp)
-        worst_identity = max(worst_identity, abs(lhs - rhs))
-    write_csv(out_dir / "curvature_0.csv", ["plane", "sectional_curvature"], rows)
+    basis = np.eye(3)
+    planes = np.concatenate([
+        np.stack([basis, basis[[1, 2, 0]]], axis=1),
+        rng.normal(size=(cfg["planes"], 2, 3), scale=2.0),
+    ])
+    x, y = planes[:, 0], planes[:, 1]
+    k = sectional_curvature(x, y)
+    y_perp = y - (killing_inner(x, y) / killing_inner(x, x))[:, None] * x
+    lhs, rhs = commutator_curvature_identity(x, y_perp)
+    worst_sectional = float(np.abs(k - 1.0).max())
+    worst_identity = float(np.abs(lhs - rhs).max())
+    write_csv(out_dir / "curvature_0.csv", ["plane", "sectional_curvature"],
+              enumerate(k.tolist()))
     return {
         "metrics": {
             "max_sectional_deviation": worst_sectional,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import AlgebraElement, Spinor
+from .su2 import BASIS_MATRICES, Spinor
 
 LENS_MISS_TOL = 1e-3  # a lens design is accepted when its ray passes this close
 LENS_DTAU = 2e-3  # leapfrog step of the lens search's rays
@@ -266,7 +266,7 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
 # ---------------------------------------------------------------------------
 
 def hamiltonian_metric(
-    h: AlgebraElement,
+    h,
     phi,
     xi,
     eta_vec,
@@ -274,14 +274,15 @@ def hamiltonian_metric(
 ) -> float:
     """Metric value hbar^2 Re(H^-2 xi, eta) / |phi|^2.
 
-    `h` is passed as the su(2) element X with H = i * mat(X) the Hermitian
-    Hamiltonian (for H = -mu sigma.B take X = embed_r3(mu B)).  phi may be
-    any nonzero vector of C^2 (the metric lives on the punctured space,
-    not just the sphere); xi and eta_vec are tangent vectors as complex
-    pairs.  Multiplication of phi, xi, eta_vec by a common nonzero complex
-    scalar leaves the value unchanged.
+    `h` is the su(2) element X as its coordinate array (a1, a2, a3), and
+    H = i * sum_k a_k e_k is the Hermitian Hamiltonian (for H = -mu sigma.B
+    take h = embed_r3(mu B)).  phi may be any nonzero vector of C^2 (the
+    metric lives on the punctured space, not just the sphere); xi and
+    eta_vec are tangent vectors as complex pairs.  Multiplication of phi,
+    xi, eta_vec by a common nonzero complex scalar leaves the value
+    unchanged.
     """
-    ham = 1j * h.matrix
+    ham = 1j * np.tensordot(h, BASIS_MATRICES, axes=1)
     det = ham[0, 0] * ham[1, 1] - ham[0, 1] * ham[1, 0]
     scale = np.abs(ham).max()
     if scale == 0.0 or abs(det) <= 1e-24 * scale * scale:

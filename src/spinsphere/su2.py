@@ -10,9 +10,12 @@ Conventions used throughout the package (Planck units, hbar = 1):
   ``(X, Y) = (1/2) Tr(X Y^dagger)``, which makes the identification
   ``x -> sum_k 2 x^k e_k`` of R^3 with su(2) an isometry.
 
-Algebra elements are stored as real coordinates in the ``e_k`` basis, so
-commutators reduce to exact cross products; 2x2 matrices are materialized
-on demand.
+An su(2) element ``sum_k a_k e_k`` is a plain float array of its real
+coordinates ``(a1, a2, a3)`` in the ``e_k`` basis, and a batch of elements
+is an array of shape ``(..., 3)``: the inner product is a quarter of the
+row-wise dot product and the commutator is the cross product, so the
+functions below act on every row at once.  The 2x2 matrix of ``a`` is
+``np.tensordot(a, BASIS_MATRICES, axes=1)``.
 """
 
 from __future__ import annotations
@@ -99,66 +102,6 @@ class MatRep:
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
-    """su(2) element sum_k a_k e_k stored as real coordinates (a1, a2, a3)."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    @classmethod
-    def from_coords(cls, coords) -> "AlgebraElement":
-        c = np.asarray(coords, dtype=float).reshape(3)
-        return cls(float(c[0]), float(c[1]), float(c[2]))
-
-    @classmethod
-    def basis(cls, k: int) -> "AlgebraElement":
-        """The generator e_k, k in {0, 1, 2}."""
-        c = [0.0, 0.0, 0.0]
-        c[k] = 1.0
-        return cls(*c)
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = _NORM_TOL) -> "AlgebraElement":
-        """Recover coordinates from an anti-Hermitian traceless 2x2 matrix."""
-        m = np.asarray(m, dtype=complex).reshape(2, 2)
-        if abs(np.trace(m)) > tol or np.abs(m + m.conj().T).max() > tol:
-            raise ValueError("matrix is not anti-Hermitian traceless")
-        # m = sum a_k (i/2) sigma_k  =>  Tr(m sigma_k) = i a_k
-        coords = [(m @ s).trace().imag for s in PAULI]
-        return cls.from_coords(coords)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.tensordot(self.coords, BASIS_MATRICES, axes=1)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement.from_coords(self.coords + other.coords)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement.from_coords(self.coords - other.coords)
-
-    def __mul__(self, scalar: float) -> "AlgebraElement":
-        return AlgebraElement.from_coords(self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(-self.a1, -self.a2, -self.a3)
-
-    def close_to(self, other: "AlgebraElement", tol: float = _NORM_TOL) -> bool:
-        return bool(np.abs(self.coords - other.coords).max() <= tol)
-
-
-@dataclass(frozen=True)
 class BlochVector:
     """Point (x, y, z) of the two-sphere of physical states."""
 
@@ -199,22 +142,23 @@ def omega_inverse(m: MatRep) -> Spinor:
     return Spinor(m.entries[0, 0], m.entries[0, 1])
 
 
-def killing_inner(x: AlgebraElement, y: AlgebraElement) -> float:
-    """Invariant inner product (1/2) Tr(X Y^dagger).
+def killing_inner(x, y):
+    """Invariant inner product (1/2) Tr(X Y^dagger) of (..., 3) coordinates.
 
-    In the e_k basis this is (1/4) a . b, which is what gets evaluated;
-    the trace form is kept as the test oracle.
+    In the e_k basis this is (1/4) a . b, evaluated row by row with
+    np.vecdot, which rounds as np.dot on one pair does (einsum and
+    (a*b).sum(-1) do not); the trace form is kept as the test oracle.
     """
-    return 0.25 * float(np.dot(x.coords, y.coords))
+    return 0.25 * np.vecdot(x, y)
 
 
-def killing_norm(x: AlgebraElement) -> float:
-    return math.sqrt(killing_inner(x, x))
+def killing_norm(x):
+    return np.sqrt(killing_inner(x, x))
 
 
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+def commutator(x, y):
     """Lie bracket; exact via the structure constants: [X, Y] = a x b."""
-    return AlgebraElement.from_coords(np.cross(x.coords, y.coords))
+    return np.cross(x, y)
 
 
 def pauli_product(a, b) -> tuple[float, np.ndarray]:
@@ -224,7 +168,6 @@ def pauli_product(a, b) -> tuple[float, np.ndarray]:
     return float(np.dot(a, b)), np.cross(a, b)
 
 
-def embed_r3(x) -> AlgebraElement:
+def embed_r3(x) -> np.ndarray:
     """Isometric embedding of R^3 into su(2): x -> sum_k 2 x^k e_k."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    return AlgebraElement.from_coords(2.0 * x)
+    return 2.0 * np.asarray(x, dtype=float)

@@ -45,7 +45,7 @@ from spinsphere.lens import (
     uniform_field,
 )
 from spinsphere.pairs import SingletSectorState, run_epr_batch
-from spinsphere.su2 import AlgebraElement, Spinor, embed_r3, killing_inner
+from spinsphere.su2 import Spinor, embed_r3, killing_inner
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -71,10 +71,6 @@ def random_spinor(rng) -> Spinor:
     return Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
 
 
-def random_element(rng) -> AlgebraElement:
-    return AlgebraElement.from_coords(rng.normal(size=3, scale=2.0))
-
-
 def weighted_state(c1_sq: float) -> Spinor:
     return Spinor(math.sqrt(c1_sq), math.sqrt(1.0 - c1_sq))
 
@@ -82,10 +78,11 @@ def weighted_state(c1_sq: float) -> Spinor:
 def test_criterion_1_sectional_curvature():
     crit = Criterion(1, "sectional curvature == 1", 1.0)
     rng = np.random.default_rng(1001)
-    basis = [AlgebraElement.basis(k) for k in range(3)]
-    planes = [(basis[0], basis[1]), (basis[1], basis[2]), (basis[2], basis[0])]
-    planes += [(random_element(rng), random_element(rng)) for _ in range(100)]
-    worst = max(abs(sectional_curvature(x, y) - 1.0) for x, y in planes)
+    basis = np.eye(3)
+    # Rows (x, y): the 3 basis planes, then 100 planes drawn x before y.
+    planes = np.concatenate([np.stack([basis, basis[[1, 2, 0]]], axis=1),
+                             rng.normal(size=(100, 2, 3), scale=2.0)])
+    worst = np.abs(sectional_curvature(planes[:, 0], planes[:, 1]) - 1.0).max()
     assert worst < 1e-10
     crit.done(f"max |K - 1| = {worst:.2e} over {len(planes)} planes")
 
@@ -93,13 +90,10 @@ def test_criterion_1_sectional_curvature():
 def test_criterion_2_commutator_curvature_identity():
     crit = Criterion(2, "commutator-curvature identity", 1.0)
     rng = np.random.default_rng(1002)
-    worst = 0.0
-    for _ in range(1000):
-        x = random_element(rng)
-        y0 = random_element(rng)
-        y = y0 - (killing_inner(x, y0) / killing_inner(x, x)) * x
-        lhs, rhs = commutator_curvature_identity(x, y)
-        worst = max(worst, abs(lhs - rhs))
+    x, y0 = rng.normal(size=(1000, 2, 3), scale=2.0).transpose(1, 0, 2)
+    y = y0 - (killing_inner(x, y0) / killing_inner(x, x))[:, None] * x
+    lhs, rhs = commutator_curvature_identity(x, y)
+    worst = np.abs(lhs - rhs).max()
     assert worst < 1e-10
     crit.done(f"max |lhs - rhs| = {worst:.2e} over 1000 orthogonal pairs")
 

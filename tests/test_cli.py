@@ -158,6 +158,18 @@ def test_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "born_report.json").exists()
 
 
+def test_oversized_planes_fails_fast(tmp_path, capsys):
+    # All planes are drawn as one (planes, 2, 3) array; 6e13 float64 draws
+    # (437 TiB) exceed the address space, so the allocation fails at once.
+    assert run_cli(["curvature", "--planes", "10000000000000",
+                    "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curvature: out of memory (")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "curvature_report.json").exists()
+
+
 def test_evolve_ends_at_t_final(tmp_path):
     # t_final < 4 dt: four steps of t_final / 4, not four steps of dt.
     assert run_cli(["evolve", "--t-final", "0.001", "--out", str(tmp_path)]) == 0

@@ -23,20 +23,20 @@ from spinsphere.curvature import (
     curvature,
     sectional_curvature,
 )
-from spinsphere.su2 import AlgebraElement, commutator, killing_inner, killing_norm
+from spinsphere.su2 import commutator, killing_inner, killing_norm
 
-E1, E2, E3 = (AlgebraElement.basis(k) for k in range(3))
-BASIS = (E1, E2, E3)
-
-
-def random_elements(rng, n, scale=2.0):
-    return [AlgebraElement.from_coords(c) for c in rng.normal(size=(n, 3), scale=scale)]
+BASIS = np.eye(3)
+E1, E2, E3 = BASIS
 
 
-def orthogonal_pair(rng, scale=2.0):
-    x, y0 = random_elements(rng, 2, scale)
-    y = y0 - (killing_inner(x, y0) / killing_inner(x, x)) * x
-    return x, y
+def random_elements(rng, *shape, scale=2.0):
+    """Coordinate arrays of shape (*shape, 3); the stream order of one
+    size-3 draw per element."""
+    return rng.normal(size=(*shape, 3), scale=scale)
+
+
+def assert_close(a, b, tol):
+    assert np.abs(a - b).max() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -44,33 +44,31 @@ def orthogonal_pair(rng, scale=2.0):
 # ---------------------------------------------------------------------------
 
 def test_connection_basis_value():
-    assert connection_coeff(E1, E2).close_to(0.5 * E3, 1e-15)
-    assert connection_coeff(E3, E1).close_to(0.5 * E2, 1e-15)
+    assert_close(connection_coeff(E1, E2), 0.5 * E3, 1e-15)
+    assert_close(connection_coeff(E3, E1), 0.5 * E2, 1e-15)
 
 
 def test_connection_geodesic_condition():
     rng = np.random.default_rng(20)
-    for x in random_elements(rng, 50):
-        assert killing_norm(connection_coeff(x, x)) == 0.0
+    x = random_elements(rng, 50)
+    assert np.all(killing_norm(connection_coeff(x, x)) == 0.0)
 
 
 def test_torsion_vanishes():
     rng = np.random.default_rng(21)
-    for _ in range(1000):
-        x, y = random_elements(rng, 2)
-        t = connection_coeff(x, y) - connection_coeff(y, x) - commutator(x, y)
-        assert np.abs(t.coords).max() < 1e-12
+    x, y = random_elements(rng, 1000, 2).transpose(1, 0, 2)
+    t = connection_coeff(x, y) - connection_coeff(y, x) - commutator(x, y)
+    assert np.abs(t).max() < 1e-12
 
 
 def test_metric_compatibility_reduced():
     # ( [X,Y], Z ) + ( Y, [X,Z] ) = 0 by ad-invariance of the metric.
     rng = np.random.default_rng(22)
-    for _ in range(1000):
-        x, y, z = random_elements(rng, 3)
-        s = killing_inner(commutator(x, y), z) + killing_inner(
-            y, commutator(x, z)
-        )
-        assert abs(s) < 1e-12
+    x, y, z = random_elements(rng, 1000, 3).transpose(1, 0, 2)
+    s = killing_inner(commutator(x, y), z) + killing_inner(
+        y, commutator(x, z)
+    )
+    assert np.abs(s).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -79,42 +77,39 @@ def test_metric_compatibility_reduced():
 
 def test_curvature_basis_value():
     # [[e1,e2],e1] = [e3,e1] = e2, so R(e1,e2)e1 = e2/4.
-    assert curvature(E1, E2, E1).close_to(0.25 * E2, 1e-15)
+    assert_close(curvature(E1, E2, E1), 0.25 * E2, 1e-15)
 
 
 def test_curvature_antisymmetric_in_first_pair():
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        x, y, z = random_elements(rng, 3)
-        lhs = curvature(x, y, z)
-        rhs = -1.0 * curvature(y, x, z)
-        assert lhs.close_to(rhs, 1e-12)
-        assert np.abs(curvature(x, x, z).coords).max() == 0.0
+    x, y, z = random_elements(rng, 100, 3).transpose(1, 0, 2)
+    lhs = curvature(x, y, z)
+    rhs = -1.0 * curvature(y, x, z)
+    assert_close(lhs, rhs, 1e-12)
+    assert np.abs(curvature(x, x, z)).max() == 0.0
 
 
 def test_curvature_first_bianchi_cyclic_sum():
     total = curvature(E1, E2, E3) + curvature(E2, E3, E1) + curvature(E3, E1, E2)
-    assert np.abs(total.coords).max() == 0.0
+    assert np.abs(total).max() == 0.0
     rng = np.random.default_rng(24)
-    for _ in range(200):
-        x, y, z = random_elements(rng, 3)
-        total = curvature(x, y, z) + curvature(y, z, x) + curvature(z, x, y)
-        assert np.abs(total.coords).max() < 1e-12
+    x, y, z = random_elements(rng, 200, 3).transpose(1, 0, 2)
+    total = curvature(x, y, z) + curvature(y, z, x) + curvature(z, x, y)
+    assert np.abs(total).max() < 1e-12
 
 
 def test_curvature_component_form():
     # R_ik,lm = (R(e_i, e_k) e_l, e_m) = (c/8)(d_il d_km - d_im d_kl), c = 1/2.
-    for i in range(3):
-        for k in range(3):
-            for l in range(3):
-                for m in range(3):
-                    value = killing_inner(
-                        curvature(BASIS[i], BASIS[k], BASIS[l]), BASIS[m]
-                    )
-                    expected = (1.0 / 16.0) * (
-                        (i == l) * (k == m) - (i == m) * (k == l)
-                    )
-                    assert value == pytest.approx(expected, abs=1e-12)
+    e = BASIS[:, None, None, None]
+    value = killing_inner(
+        curvature(e, BASIS[:, None, None], BASIS[:, None]), BASIS
+    )
+    d = np.eye(3)
+    expected = (1.0 / 16.0) * (
+        np.einsum("il,km->iklm", d, d) - np.einsum("im,kl->iklm", d, d)
+    )
+    assert value.shape == (3, 3, 3, 3)
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +133,25 @@ def test_sectional_curvature_degenerate_plane():
 
 def test_sectional_curvature_constant_on_random_planes():
     rng = np.random.default_rng(25)
-    for _ in range(100):
-        x, y = random_elements(rng, 2)
-        assert sectional_curvature(x, y) == pytest.approx(1.0, abs=1e-10)
+    x, y = random_elements(rng, 100, 2).transpose(1, 0, 2)
+    k = sectional_curvature(x, y)
+    assert k.shape == (100,)
+    assert k == pytest.approx(np.ones(100), abs=1e-10)
+
+
+def test_single_plane_gives_a_0d_result():
+    assert sectional_curvature(E1, E2).shape == ()
+    lhs, rhs = commutator_curvature_identity(E1, E2)
+    assert lhs.shape == rhs.shape == ()
+
+
+def test_batch_with_one_degenerate_plane_raises():
+    rng = np.random.default_rng(27)
+    x, y = random_elements(rng, 10, 2).transpose(1, 0, 2)
+    assert sectional_curvature(x, y).shape == (10,)
+    y[5] = 2.0 * x[5]
+    with pytest.raises(DegeneratePlaneError):
+        sectional_curvature(x, y)
 
 
 def test_sectional_curvature_embedded_sphere_oracle():
@@ -184,14 +195,27 @@ def test_identity_rejects_non_orthogonal():
         commutator_curvature_identity(2.0 * E1, 2.0 * E1)
 
 
+def orthogonal_pairs(rng, n):
+    x, y0 = random_elements(rng, n, 2).transpose(1, 0, 2)
+    y = y0 - (killing_inner(x, y0) / killing_inner(x, x))[:, None] * x
+    return x, y
+
+
 def test_identity_random_orthogonal_pairs():
     rng = np.random.default_rng(26)
-    worst = 0.0
-    for _ in range(1000):
-        x, y = orthogonal_pair(rng)
-        lhs, rhs = commutator_curvature_identity(x, y)
-        worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-10
+    x, y = orthogonal_pairs(rng, 1000)
+    lhs, rhs = commutator_curvature_identity(x, y)
+    assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_identity_batch_with_one_non_orthogonal_pair_raises():
+    rng = np.random.default_rng(28)
+    x, y = orthogonal_pairs(rng, 10)
+    lhs, rhs = commutator_curvature_identity(x, y)
+    assert lhs.shape == rhs.shape == (10,)
+    y[3] += 0.5 * x[3]
+    with pytest.raises(OrthogonalityError):
+        commutator_curvature_identity(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from spinsphere.lens import (
     ray_energy,
     uniform_field,
 )
-from spinsphere.su2 import AlgebraElement, Spinor, embed_r3
+from spinsphere.su2 import Spinor, embed_r3
 
 GAUSS = gaussian_bump_field(center=(0.5, 0.3), amplitude=0.5, width=0.7)
 
@@ -301,6 +301,4 @@ def test_metric_field_hamiltonian_matches_round_metric():
 
 def test_metric_singular_hamiltonian():
     with pytest.raises(SingularHamiltonianError):
-        hamiltonian_metric(
-            AlgebraElement.zero(), Spinor(1, 0), (1, 0), (1, 0)
-        )
+        hamiltonian_metric(np.zeros(3), Spinor(1, 0), (1, 0), (1, 0))
