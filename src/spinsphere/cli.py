@@ -6,7 +6,9 @@ Usage:
 Each run writes <experiment>_report.json (metrics, thresholds, pass flags,
 and the fully resolved configuration, so any result can be re-run from its
 own report) plus CSV data files <experiment>_<index>.csv into the output
-directory, and prints a one-line pass/fail summary.  Exit status: 0 pass,
+directory, and prints a one-line pass/fail summary.  A run that fails
+before it writes a file removes the directories it created for --out; one
+that existed before is left in place.  Exit status: 0 pass,
 1 threshold failure, 2 usage, configuration or output-directory error,
 3 no convergence (a collapse trial or walk hit its step limit, or the
 lens search failed).
@@ -22,6 +24,7 @@ units; mu, B, and hbar are individually settable for dimension-tracking runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -501,11 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     experiment = "spinsphere"
+    made = []
     try:
         args = build_parser().parse_args(argv)
         experiment = args.experiment
         cfg = resolve_config(args)
         out_dir = Path(args.out)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         body = RUNNERS[args.experiment](cfg, out_dir)
         report = {"experiment": args.experiment, "seed": cfg["seed"], "config": cfg, **body}
@@ -520,6 +525,11 @@ def main(argv=None) -> int:
     except (CollapseTimeoutError, LensSearchError) as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # A run that wrote nothing leaves none of the directories it made.
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
 
 
 if __name__ == "__main__":

@@ -30,8 +30,12 @@ stand for theta = F^-1(1 - u), alpha = pi/2 - pi u and beta = pi - 2 pi u.
 The kernel never inverts F and turns no draw into a float: theta, alpha
 and beta are each tested on the raw 64-bit draw against one exact integer
 range per source, the grid points u = k 2^-53 of the box, so the capture
-law is a product of three counts.  The batch and single-trial paths share
-the kernel, so they produce bit-identical outcomes.  A large batch runs
+law is a product of three counts.  The kernel steps its live trials in
+blocks of ticks, and a block grows as the batch thins: a geometric tail of a
+few live trials takes a handful of long blocks, not hundreds of short ones.
+Draws are addressed by stream position, so the block widths change no
+outcome.  The batch and single-trial paths share the kernel, so they
+produce bit-identical outcomes.  A large batch runs
 the same kernel on contiguous slices of its trials in children forked for
 that batch, one per CPU the process may use, which exit before the batch
 returns and die with the process that forked them; since every trial owns
@@ -59,9 +63,12 @@ _REGION_MAX = math.pi / 8.0
 _TWO53 = 2**53
 # The capture kernel advances trials in blocks of _BLOCK ticks and mixes the
 # theta draws of at most _ROWS trials at a time, so that its two uint64
-# buffers (512 KiB each) stay in a core's L2 cache.
+# buffers (512 KiB each) stay in a core's L2 cache.  Once at most half of
+# min(n, _ROWS) trials are alive, a block spans up to _GROW times as many
+# ticks, in proportion, so that rows times ticks stays within the buffers.
 _BLOCK = 32
 _ROWS = 1024
+_GROW = 16
 # run_collapse_batch splits batches of at least this many trials over the
 # CPUs of the process's affinity mask.  On 2 CPUs the split breaks even near
 # 6,000 trials in DEFAULT_REGION (2,000 in a pi/8 box): a slice has nearly
@@ -237,23 +244,31 @@ def _run_trials(windows, keys, start, max_steps):
     start + 6 t + 3 k + (0, 1, 2) as the (theta, alpha, beta) of source k.
     Returns (eigenstates, steps); a trial without a capture within
     max_steps keeps eigenstate -1.
+
+    A block spans _BLOCK ticks times min(_GROW, cap // alive), with cap =
+    min(n, _ROWS) and alive the live trials, clipped at max_steps.  Growth
+    needs alive <= cap // 2 < _ROWS, so a grown block is one slab of
+    alive * 2 _BLOCK (cap // alive) <= 2 _BLOCK cap theta draws: it fits
+    the buffers, as a full slab of _BLOCK ticks does.
     """
     n = keys.size
+    cap = min(n, _ROWS)
     eigenstates = np.full(n, -1, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
     # Column c of a block is the theta draw of source c % 2 at tick c // 2.
-    source = np.tile(np.arange(2), _BLOCK)
-    offsets = 6 * (np.arange(2 * _BLOCK) // 2) + 3 * source
+    source = np.tile(np.arange(2), _BLOCK * _GROW)
+    offsets = 6 * (np.arange(2 * _BLOCK * _GROW) // 2) + 3 * source
     # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
     starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
     theta_start, theta_count = starts[0][source], counts[0][source]
-    bits_buf = np.empty(2 * _BLOCK * min(n, _ROWS), dtype=np.uint64)
+    bits_buf = np.empty(2 * _BLOCK * cap, dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
     alive = np.arange(n)
     tick0 = 0
     while alive.size and tick0 < max_steps:
-        width = 2 * min(_BLOCK, max_steps - tick0)
+        blk = _BLOCK * min(_GROW, max(1, cap // alive.size))
+        width = 2 * min(blk, max_steps - tick0)
         base = start + 6 * tick0
         alive_keys = keys[alive]
         hits = []
@@ -285,7 +300,7 @@ def _run_trials(windows, keys, start, max_steps):
             eigenstates[alive[done]] = k[first]
             steps[alive[done]] = tick0 + tick[first] + 1
             alive = np.delete(alive, done)
-        tick0 += _BLOCK
+        tick0 += blk
     return eigenstates, steps
 
 
@@ -389,9 +404,11 @@ def run_collapse_batch(
 
     Trial i draws from the stream derived from (seed, i), exactly as a
     run_collapse_trial call with TrialStream(seed, i) would, so the two
-    code paths agree bit for bit.  The trials advance in blocks of ticks.
-    Each block tests the theta draws of both sources on their raw 64-bit
-    values against one integer range per source, with no float
+    code paths agree bit for bit.  The trials advance in blocks of _BLOCK
+    ticks while more than half of min(n_trials, _ROWS) trials are alive,
+    and of up to _GROW times as many ticks, in the same buffers, as fewer
+    are.  Each block tests the theta draws of both sources on their raw
+    64-bit values against one integer range per source, with no float
     conversion.  Only at the theta hits are the alpha and beta draws
     evaluated, by the same integer test (the streams are counter-based, so
     skipping draws is free), and one sort of the sparse captures picks

@@ -32,15 +32,16 @@ def mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """SplitMix64 finalizer on uint64 values (wraps modulo 2^64).
 
     With `out` (which may be z itself) and `scratch` arrays of z's shape it
-    works in place and allocates nothing.
+    works in place and allocates nothing.  It needs no np.errstate: z is an
+    array, 0-d at least, and ufuncs on uint64 arrays wrap without a warning;
+    only numpy's scalar operators (as in derive_keys and bits_at) check.
     """
     z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=scratch), out=out)
-        z = np.multiply(z, _MIX1, out=out)
-        z = np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=scratch), out=out)
-        z = np.multiply(z, _MIX2, out=out)
-        return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=out)
+    z = np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=scratch), out=out)
+    z = np.multiply(z, _MIX1, out=out)
+    z = np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=scratch), out=out)
+    z = np.multiply(z, _MIX2, out=out)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=out)
 
 
 def derive_keys(seed: int, trial_indices) -> np.ndarray:

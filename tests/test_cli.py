@@ -162,12 +162,40 @@ def test_oversized_planes_fails_fast(tmp_path, capsys):
     # All planes are drawn as one (planes, 2, 3) array; 6e13 float64 draws
     # (437 TiB) exceed the address space, so the allocation fails at once.
     assert run_cli(["curvature", "--planes", "10000000000000",
-                    "--out", str(tmp_path)]) == 2
+                    "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: curvature: out of memory (")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert not (tmp_path / "curvature_report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (MemoryError(), 2, "error: born: out of memory\n"),
+        (CollapseTimeoutError("1 of 1 trials exceeded 9 steps"), 3,
+         "did not converge: 1 of 1 trials exceeded 9 steps\n"),
+    ],
+    ids=["out-of-memory", "timeout"],
+)
+@pytest.mark.parametrize("existed", [False, True], ids=["fresh", "existing"])
+def test_failed_run_removes_only_the_out_it_made(tmp_path, capsys, monkeypatch,
+                                                  error, code, message, existed):
+    def fail(*args, **kwargs):
+        raise error
+
+    out = tmp_path / "parent" / "out"
+    if existed:
+        out.mkdir(parents=True)
+    monkeypatch.setattr(cli, "run_collapse_batch", fail)
+    assert run_cli(["born", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+    # The parent directory made for a fresh --out goes too.
+    assert out.exists() == existed and (tmp_path / "parent").exists() == existed
+    if existed:
+        assert list(out.iterdir()) == []
 
 
 def test_evolve_ends_at_t_final(tmp_path):

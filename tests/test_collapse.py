@@ -301,7 +301,8 @@ def test_batch_golden_digest(phi, region, seed, digest, workers, monkeypatch):
 
 def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
     # Both blocked engines read draws by absolute stream position, so odd
-    # block and slab widths must give the default widths' outputs exactly.
+    # block, slab and growth widths must give the default widths' outputs
+    # exactly; _GROW = 1 is a kernel whose blocks never grow.
     chain = build_markov_chain(60)
     phi = state_with_weight(0.3)
     n_trials = 1000
@@ -310,9 +311,38 @@ def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
     batch = run_collapse_batch(phi, WIDE_BOX, 14, n_trials)
     monkeypatch.setattr(collapse, "_BLOCK", 5)
     monkeypatch.setattr(collapse, "_ROWS", 7)
-    for want, got in ((walks, run_ruin_walks(chain, 20, 13, 1500)),
-                      (batch, run_collapse_batch(phi, WIDE_BOX, 14, n_trials))):
-        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+    for grow in (1, 3, collapse._GROW):
+        monkeypatch.setattr(collapse, "_GROW", grow)
+        for want, got in ((walks, run_ruin_walks(chain, 20, 13, 1500)),
+                          (batch, run_collapse_batch(phi, WIDE_BOX, 14, n_trials))):
+            assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+
+@BOTH_PATHS
+def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
+    # At most 512 trials are alive from tick 384 of the serial run (288 of
+    # each sharded half), so blocks grow to 64 and 96 ticks and the last is
+    # clipped at 500 steps, a multiple of no block; some trials capture at
+    # step 500 itself.  Captures and the timeout message must match a kernel
+    # whose blocks never grow.
+    n = collapse._SHARD_MIN_TRIALS + 1
+    phi = state_with_weight(0.5)
+    keys = derive_keys(42, np.arange(n))
+    windows = tuple(_source_window(phi, k, WIDE_BOX) for k in (0, 1))
+    results = []
+    for grow in (1, collapse._GROW):
+        monkeypatch.setattr(collapse, "_GROW", grow)
+        forks = force_workers(monkeypatch, workers)
+        with pytest.raises(CollapseTimeoutError) as info:
+            run_collapse_batch(phi, WIDE_BOX, 42, n, max_steps=500)
+        results.append((str(info.value), collapse._sharded_trials(windows, keys, 500)))
+        assert len(forks) == (2 * workers if workers > 1 else 0)
+        assert_reaped(forks)
+    (message, (eig, steps)), (grown_message, (grown_eig, grown_steps)) = results
+    assert message == grown_message
+    assert message == f"{np.count_nonzero(eig < 0)} of {n} trials exceeded 500 steps"
+    assert np.array_equal(eig, grown_eig) and np.array_equal(steps, grown_steps)
+    assert 0 < np.count_nonzero(eig < 0) < n and steps.max() == 500
 
 
 def test_sharded_batch_with_uneven_slices(monkeypatch):

@@ -1,11 +1,19 @@
 """Per-trial stream determinism and distribution quality."""
 
 import math
+import warnings
 
 import numpy as np
 from scipy import stats
 
-from spinsphere.randomness import TrialStream, derive_keys, uniforms_at
+from spinsphere.randomness import TrialStream, derive_keys, mix64, uniforms_at
+
+
+def splitmix64_finalizer(z: int) -> int:
+    """SplitMix64 output permutation on Python ints, reduced modulo 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
 
 
 def test_streams_are_deterministic():
@@ -76,3 +84,20 @@ def test_chi_square_uniform_bins():
     counts, _ = np.histogram(u, bins=64, range=(0.0, 1.0))
     p = stats.chisquare(counts).pvalue
     assert p > 0.001
+
+
+def test_mix64_wraps_without_warnings():
+    # Every multiply here overflows; uint64 ufuncs wrap silently on 0-d and
+    # n-d operands, so mix64 needs no errstate of its own.
+    values = [2**63 + 12345, 2**64 - 1, 0x9E3779B97F4A7C15]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero_d = mix64(np.array(values[0], dtype=np.uint64))
+        scalar = mix64(np.uint64(values[0]))
+        array = mix64(np.array(values, dtype=np.uint64))
+        inplace = np.array(values, dtype=np.uint64)
+        mix64(inplace, out=inplace, scratch=np.empty_like(inplace))
+    assert int(zero_d) == int(scalar) == splitmix64_finalizer(values[0])
+    assert array.tolist() == inplace.tolist() == [splitmix64_finalizer(v) for v in values]
+    # The first output of SplitMix64 seeded with 0.
+    assert int(array[2]) == 0xE220A8397B1DCDAF
