@@ -5,6 +5,9 @@ independent oracle for moments, variances, and the energy spread.
 """
 
 import cmath
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -23,6 +26,7 @@ from spinsphere.bloch import (
     uncertainty_margin,
     variance_on_geodesic,
 )
+from spinsphere.cli import main
 from spinsphere.evolution import FieldParams, evolve_exact
 from spinsphere.su2 import PAULI, BlochVector, Spinor
 
@@ -298,3 +302,70 @@ def test_variance_on_geodesic_monotone_toward_midpoint():
     assert np.all(diffs > 0.0)
     assert values[0] == 0.0
     assert values[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The bloch and uncertainty CLI against scalar oracles
+# ---------------------------------------------------------------------------
+
+def _scalar_projection(c1, c2):
+    """Bloch point (x, y, z) of a unit state as Python floats, with the
+    arithmetic the CLI must reproduce bit for bit."""
+    cross = c1 * c2.conjugate()
+    return 2.0 * cross.real, -2.0 * cross.imag, abs(c2) ** 2 - abs(c1) ** 2
+
+
+BLOCH_CASES = [
+    ["--c1sq", "0.5"],
+    ["--c1sq", "0.3", "--bx", "0.4", "--by", "-1.2", "--bz", "0.7", "--mu", "-0.8"],
+]
+
+
+@pytest.mark.parametrize("case", BLOCH_CASES, ids=["default-field", "tilted-field"])
+def test_bloch_cli_matches_scalar_projection_bit_for_bit(tmp_path, case):
+    args = [*case, "--dt", "1e-4"]
+    assert main(["bloch", *args, "--out", str(tmp_path / "bloch")]) == 0
+    assert main(["evolve", *args, "--out", str(tmp_path / "evolve")]) == 0
+    with open(tmp_path / "evolve" / "evolve_0.csv", newline="") as handle:
+        samples = [[float(v) for v in row] for row in list(csv.reader(handle))[1:]]
+    rows, norm_dev = [], 0.0
+    for t, re1, im1, re2, im2 in samples:
+        phi = Spinor(complex(re1, im1), complex(re2, im2))
+        point = _scalar_projection(phi.c1, phi.c2)
+        rows.append((t, *point))
+        norm_dev = max(norm_dev, abs(np.linalg.norm(np.array(point)) - 1.0))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "x", "y", "z"])
+    writer.writerows(rows)
+    assert (tmp_path / "bloch" / "bloch_0.csv").read_bytes() == expected.getvalue().encode()
+
+    c1sq = float(case[1])
+    phi0 = Spinor(math.sqrt(c1sq), math.sqrt(1.0 - c1sq))
+    shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
+    phase_dev = float(np.abs(
+        np.array(_scalar_projection(shifted.c1, shifted.c2))
+        - np.array(_scalar_projection(phi0.c1, phi0.c2))
+    ).max())
+    metrics = json.loads((tmp_path / "bloch" / "bloch_report.json").read_text())["metrics"]
+    assert metrics == {"norm_deviation": norm_dev, "phase_invariance": phase_dev}
+
+
+def _scalar_margin(phi):
+    x, y, z = _scalar_projection(phi.c1, phi.c2)
+    x2, y2, z2 = x * x, y * y, z * z
+    return (y2 + z2) * (x2 + z2) - z2
+
+
+@pytest.mark.parametrize("seed", [42, 9001])
+def test_uncertainty_cli_matches_scalar_margin_bit_for_bit(tmp_path, seed):
+    assert main(["uncertainty", "--states", "50000", "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(50_000):
+        r = rng.normal(size=4)
+        worst = min(worst, _scalar_margin(Spinor(complex(r[0], r[1]), complex(r[2], r[3]))))
+    metrics = json.loads((tmp_path / "uncertainty_report.json").read_text())["metrics"]
+    assert metrics["min_margin"] == worst
+    assert metrics["margin_at_eigenstate"] == _scalar_margin(Spinor(1.0, 0.0))
