@@ -14,6 +14,11 @@ unaffected by that orientation choice, and the few axis-sensitive
 quantities (projective speed, energy spread) are evaluated through
 eigenbasis amplitudes so no sign convention can leak in.
 
+A Bloch point is a plain ``(3,)`` float array ``(x, y, z)``.  The scalar
+functions below unpack it with ``.tolist()`` and do their arithmetic in
+Python floats: numpy's complex ``abs`` and ``pow`` round differently from
+Python's, so a vectorized form would not reproduce the same bits.
+
 Transition probability depends only on the projective distance:
 P(theta) = cos^2(theta/2) with theta the angle between the Bloch vectors.
 """
@@ -21,12 +26,11 @@ P(theta) = cos^2(theta/2) with theta the angle between the Bloch vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import FieldParams, ZeroFieldError
-from .su2 import BlochVector, Spinor
+from .su2 import Spinor
 
 _CHART_TOL = 1e-14
 
@@ -35,28 +39,30 @@ class ChartSingularityError(ValueError):
     """The inhomogeneous chart is undefined on the line through (0, 1)."""
 
 
-def hopf_project(phi: Spinor) -> BlochVector:
-    """Project a unit state to its Bloch vector."""
+def hopf_project(phi: Spinor) -> np.ndarray:
+    """Project a unit state to its Bloch point, a (3,) array (x, y, z)."""
     cross = phi.c1 * phi.c2.conjugate()
     x = 2.0 * cross.real
     y = -2.0 * cross.imag
     z = abs(phi.c2) ** 2 - abs(phi.c1) ** 2
-    return BlochVector(x, y, z)
+    return np.array([x, y, z])
 
 
-def spinor_from_bloch(b: BlochVector) -> Spinor:
-    """A reference state projecting to b (one point of the phase fiber).
+def spinor_from_bloch(b) -> Spinor:
+    """A reference state projecting to the Bloch point b (one point of the
+    phase fiber).
 
     The branch with the larger amplitude is taken real and nonnegative,
     which keeps the section well-conditioned at both poles.
     """
+    x, y, z = np.asarray(b, dtype=float).tolist()
     # phi1 conj(phi2)* relations: conj(phi1) phi2 = (x + i y)/2.
-    if b.z <= 0.0:
-        c1 = math.sqrt(0.5 * (1.0 - b.z))
-        c2 = complex(b.x, b.y) / (2.0 * c1)
+    if z <= 0.0:
+        c1 = math.sqrt(0.5 * (1.0 - z))
+        c2 = complex(x, y) / (2.0 * c1)
         return Spinor(c1, c2)
-    c2 = math.sqrt(0.5 * (1.0 + b.z))
-    c1 = complex(b.x, -b.y) / (2.0 * c2)
+    c2 = math.sqrt(0.5 * (1.0 + z))
+    c1 = complex(x, -y) / (2.0 * c2)
     return Spinor(c1, c2)
 
 
@@ -70,8 +76,14 @@ def inhomogeneous_coord(phi: Spinor) -> complex:
 
 
 def fs_distance(phi: Spinor, psi: Spinor) -> float:
-    """Geodesic (angular) distance between the projections, in [0, pi]."""
-    return hopf_project(phi).angle_to(hopf_project(psi))
+    """Geodesic (angular) distance between the projections, in [0, pi].
+
+    The atan2 form of the angle stays accurate near 0 and pi.
+    """
+    ax, ay, az = hopf_project(phi).tolist()
+    bx, by, bz = hopf_project(psi).tolist()
+    cross = math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return math.atan2(cross, ax * bx + ay * by + az * bz)
 
 
 def transition_probability(phi: Spinor, psi: Spinor) -> float:
@@ -99,24 +111,15 @@ def projective_speed(phi0: Spinor, p: FieldParams) -> float:
     return 4.0 * abs(p.omega) * a_plus * a_minus
 
 
-@dataclass(frozen=True)
-class PauliMoments:
-    """First and second moments of the three spin components."""
-
-    expectations: BlochVector
-    variances: np.ndarray
-
-
-def pauli_moments(phi: Spinor) -> PauliMoments:
-    """Component expectations and variances in the Bloch frame.
+def pauli_moments(phi: Spinor) -> tuple[np.ndarray, np.ndarray]:
+    """(expectations, variances) of the three spin components, (3,) arrays.
 
     Expectations are the projection coordinates themselves; since each
     component squares to the identity, the variances are
     1 - x^2 = y^2 + z^2 and cyclic.
     """
     b = hopf_project(phi)
-    v = b.vector
-    return PauliMoments(b, 1.0 - v * v)
+    return b, 1.0 - b * b
 
 
 def uncertainty_margin(phi: Spinor) -> float:
@@ -125,8 +128,8 @@ def uncertainty_margin(phi: Spinor) -> float:
     Nonnegative for every unit Bloch vector; zero exactly at the z-axis
     poles and at equatorial points with x y = 0.
     """
-    b = hopf_project(phi)
-    x2, y2, z2 = b.x * b.x, b.y * b.y, b.z * b.z
+    x, y, z = hopf_project(phi).tolist()
+    x2, y2, z2 = x * x, y * y, z * z
     return (y2 + z2) * (x2 + z2) - z2
 
 

@@ -85,7 +85,7 @@ PARAMS = {
     "c1sq": Param(float, 0.5, "weight |c1|^2 of the first eigenstate", _UNIT),
     "a_sq": Param(float, 0.5, "weight of the (+,-) branch of the EPR pair", _UNIT),
     "t_final": Param(float, None, "evolution time; by default 1.0, and a quarter turn "
-                     "(pi/4)(hbar/(mu b0)) for e2-split", _POSITIVE),
+                     "(pi/4)(hbar/|mu b0|) for e2-split", _POSITIVE),
     "dt": Param(float, 1e-3, "integrator step; runs take max(round(t_final/dt), 4) "
                 "equal steps that end at t_final", _POSITIVE),
     "bx": Param(float, 0.0, "field component B_x (evolve, bloch)"),
@@ -236,12 +236,10 @@ def run_bloch(cfg, out_dir: Path) -> dict:
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
-    points = [hopf_project(traj.spinor(i)).vector for i in range(len(traj))]
+    points = [hopf_project(traj.spinor(i)) for i in range(len(traj))]
     norm_dev = float(max(abs(np.linalg.norm(p) - 1.0) for p in points))
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
-    phase_dev = float(
-        np.abs(hopf_project(shifted).vector - hopf_project(phi0).vector).max()
-    )
+    phase_dev = float(np.abs(hopf_project(shifted) - hopf_project(phi0)).max())
     write_csv(
         out_dir / "bloch_0.csv",
         ["t", "x", "y", "z"],
@@ -433,14 +431,15 @@ def run_epr(cfg, out_dir: Path) -> dict:
 
 def run_e2_split(cfg, out_dir: Path) -> dict:
     # Field along the negative Y axis takes the spin-up state through
-    # (cos wt, sin wt); a quarter period of pi/(4 w) lands on the equal
-    # superposition, which the measurement then splits 50/50.
+    # (cos wt, sin wt) with w = mu b0 / hbar; a quarter period of
+    # pi/(4 |w|) lands on the equal superposition (1, sign(w))/sqrt(2),
+    # which the measurement then splits 50/50.
     b0 = cfg["b0"]
     params = FieldParams((0.0, -b0, 0.0), cfg["mu"], cfg["hbar"])
-    quarter_turn = (math.pi / 4.0) * cfg["hbar"] / (cfg["mu"] * b0)
+    quarter_turn = (math.pi / 4.0) * cfg["hbar"] / abs(cfg["mu"] * b0)
     traj = _trajectory(cfg, Spinor(1.0, 0.0), params, quarter_turn)
     terminal = evolve_exact(Spinor(1.0, 0.0), params, cfg["t_final"])
-    target = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    target = np.array([1.0, math.copysign(1.0, cfg["mu"] * b0)]) / math.sqrt(2.0)
     split_error = float(np.abs(terminal.vector - target).max())
     outcomes, steps = run_collapse_batch(terminal, _region(cfg), cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, 0.5)

@@ -152,9 +152,8 @@ def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
     """
     if anchor not in (0, 1):
         raise ValueError("anchor must be 0 or 1")
-    b = hopf_project(phi)
+    v = hopf_project(phi)
     pole, ex, ey = _FRAMES[anchor]
-    v = b.vector
     sx, sy = float(np.dot(v, ex)), float(np.dot(v, ey))
     polar = math.atan2(math.hypot(sx, sy), float(np.dot(v, pole)))
     azimuth = math.atan2(sy, sx)
@@ -164,7 +163,7 @@ def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
         theta, alpha = -polar, azimuth - math.pi
     else:
         theta, alpha = -polar, azimuth + math.pi
-    ref = spinor_from_bloch(b)
+    ref = spinor_from_bloch(v)
     inner = phi.inner(ref)
     beta = math.atan2(inner.imag, inner.real)
     return theta, alpha, beta

@@ -142,16 +142,16 @@ def integrate_numeric(
     pre-normalization norm deviation is reported as `max_drift` on the
     returned trajectory rather than silently discarded.
 
-    Raises StepSizeError when dt * omega > 0.1 (accuracy guard) and
+    Raises StepSizeError when dt * |omega| > 0.1 (accuracy guard) and
     ZeroFieldError for a vanishing field.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if p.field_norm == 0.0:
         raise ZeroFieldError("evolution requires a nonzero field")
-    if dt * p.omega > 0.1:
+    if dt * abs(p.omega) > 0.1:
         raise StepSizeError(
-            f"dt*omega = {dt * p.omega:.3g} exceeds the 0.1 accuracy guard"
+            f"dt*|omega| = {dt * abs(p.omega):.3g} exceeds the 0.1 accuracy guard"
         )
     gen = (1j * p.mu / p.hbar) * p.sigma_dot_b
     state = phi0.vector

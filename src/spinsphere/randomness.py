@@ -32,9 +32,10 @@ def mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """SplitMix64 finalizer on uint64 values (wraps modulo 2^64).
 
     With `out` (which may be z itself) and `scratch` arrays of z's shape it
-    works in place and allocates nothing.  It needs no np.errstate: z is an
-    array, 0-d at least, and ufuncs on uint64 arrays wrap without a warning;
-    only numpy's scalar operators (as in derive_keys and bits_at) check.
+    works in place and allocates nothing.  It needs no np.errstate: explicit
+    ufunc calls wrap uint64 without a warning, even on scalar or 0-d
+    operands; only numpy's scalar operators (+, *) check for overflow, so
+    derive_keys and bits_at call np.add and np.multiply as well.
     """
     z = np.asarray(z, dtype=np.uint64)
     z = np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=scratch), out=out)
@@ -48,8 +49,8 @@ def derive_keys(seed: int, trial_indices) -> np.ndarray:
     """Per-trial stream keys from the master seed."""
     idx = np.asarray(trial_indices, dtype=np.uint64)
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return mix64(mix64(base + GOLDEN) ^ mix64((idx + np.uint64(1)) * GOLDEN))
+    step = np.multiply(np.add(idx, np.uint64(1)), GOLDEN)
+    return mix64(mix64(np.add(base, GOLDEN)) ^ mix64(step))
 
 
 def bits_at(keys: np.ndarray, draw_indices, out=None, scratch=None) -> np.ndarray:
@@ -59,8 +60,7 @@ def bits_at(keys: np.ndarray, draw_indices, out=None, scratch=None) -> np.ndarra
     `scratch` of the broadcast shape make it allocate nothing (see mix64).
     """
     j = np.asarray(draw_indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.add(keys, (j + np.uint64(1)) * GOLDEN, out=out)
+    z = np.add(keys, np.multiply(np.add(j, np.uint64(1)), GOLDEN), out=out)
     return mix64(z, out=out, scratch=scratch)
 
 

@@ -15,7 +15,10 @@ coordinates ``(a1, a2, a3)`` in the ``e_k`` basis, and a batch of elements
 is an array of shape ``(..., 3)``: the inner product is a quarter of the
 row-wise dot product and the commutator is the cross product, so the
 functions below act on every row at once.  The 2x2 matrix of ``a`` is
-``np.tensordot(a, BASIS_MATRICES, axes=1)``.
+``np.tensordot(a, BASIS_MATRICES, axes=1)``.  A point ``(x, y, z)`` of the
+sphere of physical states is likewise a ``(3,)`` float array (see
+``bloch.hopf_project``); only ``Spinor`` stays a class, because it
+enforces unit norm.
 """
 
 from __future__ import annotations
@@ -99,29 +102,6 @@ class MatRep:
     def determinant(self) -> complex:
         m = self.entries
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Point (x, y, z) of the two-sphere of physical states."""
-
-    x: float
-    y: float
-    z: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def angle_to(self, other: "BlochVector") -> float:
-        """Angle in [0, pi] between the two vectors (atan2 form, stable
-        near 0 and pi)."""
-        cross = math.hypot(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-        return math.atan2(cross, self.x * other.x + self.y * other.y + self.z * other.z)
 
 
 def omega(s: Spinor) -> MatRep:

@@ -309,7 +309,7 @@ def test_bloch_projection_consistency():
     # weighted state reproduces the polar angle the collapse engine uses.
     for c1_sq in (0.1, 0.5, 0.9):
         phi = weighted_state(c1_sq)
-        z = hopf_project(phi).z
+        z = hopf_project(phi)[2]
         assert math.cos(
             math.acos(-z) / 2.0
         ) ** 2 == pytest.approx(c1_sq, abs=1e-12)

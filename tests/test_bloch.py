@@ -28,7 +28,7 @@ from spinsphere.bloch import (
 )
 from spinsphere.cli import main
 from spinsphere.evolution import FieldParams, evolve_exact
-from spinsphere.su2 import PAULI, BlochVector, Spinor
+from spinsphere.su2 import PAULI, Spinor
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -49,12 +49,13 @@ def expectation(phi, op):
 
 def test_hopf_basis_state():
     b = hopf_project(Spinor(1.0, 0.0))
-    assert np.allclose(b.vector, (0.0, 0.0, -1.0), atol=1e-15)
+    assert b.shape == (3,) and b.dtype == np.float64
+    assert np.allclose(b, (0.0, 0.0, -1.0), atol=1e-15)
 
 
 def test_hopf_equal_superposition():
     b = hopf_project(Spinor(RT2, RT2))
-    assert np.allclose(b.vector, (1.0, 0.0, 0.0), atol=1e-15)
+    assert np.allclose(b, (1.0, 0.0, 0.0), atol=1e-15)
 
 
 def test_hopf_phase_invariance_and_unit_image():
@@ -65,8 +66,8 @@ def test_hopf_phase_invariance_and_unit_image():
             phi.c1 * cmath.exp(1j * beta), phi.c2 * cmath.exp(1j * beta)
         )
         b1, b2 = hopf_project(phi), hopf_project(shifted)
-        assert np.abs(b1.vector - b2.vector).max() < 1e-12
-        assert abs(np.linalg.norm(b1.vector) - 1.0) < 1e-12
+        assert np.abs(b1 - b2).max() < 1e-12
+        assert abs(np.linalg.norm(b1) - 1.0) < 1e-12
 
 
 def test_spinor_from_bloch_round_trip():
@@ -74,10 +75,9 @@ def test_spinor_from_bloch_round_trip():
     for phi in random_spinors(rng, 500):
         b = hopf_project(phi)
         again = hopf_project(spinor_from_bloch(b))
-        assert np.abs(b.vector - again.vector).max() < 1e-12
+        assert np.abs(b - again).max() < 1e-12
     for pole in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
-        b = BlochVector(*pole)
-        assert np.abs(hopf_project(spinor_from_bloch(b)).vector - pole).max() < 1e-12
+        assert np.abs(hopf_project(spinor_from_bloch(pole)) - pole).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +99,9 @@ def test_xi_stereographic_identity():
     for phi in random_spinors(rng, 300):
         if abs(phi.c1) < 1e-3:
             continue
-        b = hopf_project(phi)
+        x, y, z = hopf_project(phi)
         xi = inhomogeneous_coord(phi)
-        stereo = complex(b.x, b.y) / (1.0 - b.z)
+        stereo = complex(x, y) / (1.0 - z)
         assert abs(xi - stereo) < 1e-10
 
 
@@ -161,8 +161,8 @@ def test_projective_speed_finite_difference():
         b = rng.normal(size=3)
         p = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0))
         dt = 1e-5
-        b_plus = hopf_project(evolve_exact(phi, p, dt)).vector
-        b_minus = hopf_project(evolve_exact(phi, p, -dt)).vector
+        b_plus = hopf_project(evolve_exact(phi, p, dt))
+        b_minus = hopf_project(evolve_exact(phi, p, -dt))
         fd = np.linalg.norm(b_plus - b_minus) / (2 * dt)
         assert abs(fd - projective_speed(phi, p)) < 1e-6
 
@@ -171,9 +171,9 @@ def test_eigenstate_evolution_projectively_trivial():
     p = FieldParams((0.3, -0.7, 0.64))
     _, vecs = np.linalg.eigh(p.sigma_dot_b)
     eigenstate = Spinor(vecs[0, 1], vecs[1, 1])
-    start = hopf_project(eigenstate).vector
+    start = hopf_project(eigenstate)
     for t in np.linspace(0.1, 5.0, 7):
-        moved = hopf_project(evolve_exact(eigenstate, p, t)).vector
+        moved = hopf_project(evolve_exact(eigenstate, p, t))
         assert np.abs(moved - start).max() < 1e-9
     assert projective_speed(eigenstate, p) < 1e-12
 
@@ -183,21 +183,21 @@ def test_eigenstate_evolution_projectively_trivial():
 # ---------------------------------------------------------------------------
 
 def test_pauli_moments_basis_state():
-    m = pauli_moments(Spinor(1.0, 0.0))
-    assert np.allclose(np.sqrt(m.variances), (1.0, 1.0, 0.0), atol=1e-12)
+    _, variances = pauli_moments(Spinor(1.0, 0.0))
+    assert np.allclose(np.sqrt(variances), (1.0, 1.0, 0.0), atol=1e-12)
 
 
 def test_pauli_moments_equatorial_state():
-    m = pauli_moments(Spinor(RT2, RT2))
-    assert np.allclose(m.expectations.vector, (1.0, 0.0, 0.0), atol=1e-12)
-    assert np.allclose(m.variances, (0.0, 1.0, 1.0), atol=1e-12)
+    expectations, variances = pauli_moments(Spinor(RT2, RT2))
+    assert np.allclose(expectations, (1.0, 0.0, 0.0), atol=1e-12)
+    assert np.allclose(variances, (0.0, 1.0, 1.0), atol=1e-12)
 
 
 def test_pauli_moments_spread_is_sine_of_axis_angle():
     # A state on the equator sits a quarter turn from the z axis, so the
     # z-component spread is sin(pi/2) = 1.
-    m = pauli_moments(Spinor(RT2, RT2 * 1j))
-    assert math.sqrt(m.variances[2]) == pytest.approx(1.0, abs=1e-12)
+    _, variances = pauli_moments(Spinor(RT2, RT2 * 1j))
+    assert math.sqrt(variances[2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pauli_moments_against_matrix_elements():
@@ -205,9 +205,8 @@ def test_pauli_moments_against_matrix_elements():
     # z-orientation; variances match exactly (convention-free).
     rng = np.random.default_rng(45)
     for phi in random_spinors(rng, 300):
-        m = pauli_moments(phi)
+        got, variances = pauli_moments(phi)
         direct = np.array([expectation(phi, s) for s in PAULI])
-        got = m.expectations.vector
         assert abs(got[0] - direct[0]) < 1e-12
         assert abs(got[1] - direct[1]) < 1e-12
         assert abs(got[2] + direct[2]) < 1e-12
@@ -217,7 +216,7 @@ def test_pauli_moments_against_matrix_elements():
                 for s in PAULI
             ]
         )
-        assert np.abs(m.variances - direct_vars).max() < 1e-12
+        assert np.abs(variances - direct_vars).max() < 1e-12
 
 
 def test_uncertainty_margin_values():
@@ -226,7 +225,7 @@ def test_uncertainty_margin_values():
     # Equatorial state at x = 1: margin x^2 y^2 = 0.
     assert uncertainty_margin(Spinor(RT2, RT2)) == pytest.approx(0.0, abs=1e-12)
     # x = y = z = 1/sqrt(3): (2/3)(2/3) - 1/3 = 1/9.
-    diag = spinor_from_bloch(BlochVector(*(1 / math.sqrt(3),) * 3))
+    diag = spinor_from_bloch(np.full(3, 1 / math.sqrt(3)))
     assert uncertainty_margin(diag) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
@@ -234,9 +233,9 @@ def test_uncertainty_principle_many_states():
     rng = np.random.default_rng(46)
     for phi in random_spinors(rng, 10_000):
         assert uncertainty_margin(phi) >= -1e-12
-        m = pauli_moments(phi)
-        dx, dy = math.sqrt(m.variances[0]), math.sqrt(m.variances[1])
-        assert dx * dy >= abs(m.expectations.z) - 1e-12
+        expectations, variances = pauli_moments(phi)
+        dx, dy = math.sqrt(variances[0]), math.sqrt(variances[1])
+        assert dx * dy >= abs(expectations[2]) - 1e-12
 
 
 def test_energy_uncertainty_values():
@@ -246,9 +245,7 @@ def test_energy_uncertainty_values():
         1.0, abs=1e-12
     )
     # theta = pi/6 from the field axis with mu B = 2: 2 sin(pi/6) = 1.
-    state = spinor_from_bloch(
-        BlochVector(math.sin(math.pi / 6), 0.0, math.cos(math.pi / 6))
-    )
+    state = spinor_from_bloch(np.array([math.sin(math.pi / 6), 0.0, math.cos(math.pi / 6)]))
     p2 = FieldParams((0, 0, 1.0), mu=2.0)
     assert energy_uncertainty(state, p2) == pytest.approx(1.0, abs=1e-12)
 

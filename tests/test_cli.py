@@ -87,6 +87,7 @@ def test_invalid_value_exits_2(tmp_path):
         (["bloch"], "bx=nan\n"),
         (["lens", "--span", "-0.5", "--displacement", "0"], None),
         (["lens"], "span=0\n"),
+        (["evolve", "--mu", "-1000"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -94,7 +95,8 @@ def test_invalid_value_exits_2(tmp_path):
          "lens-displacement-inf", "e2-split-hbar-inf", "uncertainty-mu-inf",
          "bloch-bx-nan", "config-t-final-inf", "config-span-inf",
          "config-displacement-neg-inf", "config-hbar-inf", "config-mu-inf",
-         "config-bx-nan", "lens-span-negative", "config-span-zero"],
+         "config-bx-nan", "lens-span-negative", "config-span-zero",
+         "evolve-mu-negative-step-guard"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -215,6 +217,15 @@ def test_threshold_failure_exits_1(tmp_path):
     report = json.loads((tmp_path / "e2_split_report.json").read_text())
     assert report["pass"] is False
     assert report["checks"]["terminal_state"] is False
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--b0"])
+def test_e2_split_passes_with_negative_mu_b0(tmp_path, flag):
+    # With mu b0 < 0 the quarter turn (pi/4) hbar/|mu b0| ends at (1, -1)/sqrt(2).
+    assert run_cli(["e2-split", flag, "-1", "--trials", "2000", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "e2_split_report.json").read_text())
+    assert report["config"]["t_final"] == pytest.approx(np.pi / 4)
+    assert report["metrics"]["terminal_state_error"] < 1e-10
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -171,8 +171,12 @@ def test_integrate_constant_speed_samples():
 
 
 def test_integrate_step_guard():
-    with pytest.raises(StepSizeError):
-        integrate_numeric(Spinor(1, 0), FieldParams((0, 0, 5.0)), 0.05, 10)
+    # omega carries the sign of mu; the guard bounds dt * |omega|.
+    for mu in (1.0, -1.0):
+        p = FieldParams((0, 0, 5.0), mu)
+        with pytest.raises(StepSizeError, match=r"dt\*\|omega\| = 0\.25 "):
+            integrate_numeric(Spinor(1, 0), p, 0.05, 10)
+        integrate_numeric(Spinor(1, 0), p, 0.01, 10)
     with pytest.raises(ValueError):
         integrate_numeric(Spinor(1, 0), FieldParams((0, 0, 1.0)), -1e-3, 10)
 

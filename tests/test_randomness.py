@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 from scipy import stats
 
-from spinsphere.randomness import TrialStream, derive_keys, mix64, uniforms_at
+from spinsphere.randomness import TrialStream, bits_at, derive_keys, mix64, uniforms_at
 
 
 def splitmix64_finalizer(z: int) -> int:
@@ -87,9 +87,23 @@ def test_chi_square_uniform_bins():
 
 
 def test_mix64_wraps_without_warnings():
-    # Every multiply here overflows; uint64 ufuncs wrap silently on 0-d and
-    # n-d operands, so mix64 needs no errstate of its own.
+    # Every add and multiply here overflows.  uint64 ufuncs wrap silently on
+    # scalar, 0-d and n-d operands, so mix64 needs no errstate of its own,
+    # and derive_keys and bits_at (which call np.add and np.multiply
+    # explicitly, even for 0-d indices) need none either.
     values = [2**63 + 12345, 2**64 - 1, 0x9E3779B97F4A7C15]
+    top = [0, 2**63 + 5, 2**64 - 1]
+    golden = values[2]
+
+    def key(seed, i):
+        return splitmix64_finalizer(
+            splitmix64_finalizer((seed + golden) % 2**64)
+            ^ splitmix64_finalizer((i + 1) * golden % 2**64)
+        )
+
+    def bits(k, j):
+        return splitmix64_finalizer((k + (j + 1) * golden) % 2**64)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         zero_d = mix64(np.array(values[0], dtype=np.uint64))
@@ -97,6 +111,18 @@ def test_mix64_wraps_without_warnings():
         array = mix64(np.array(values, dtype=np.uint64))
         inplace = np.array(values, dtype=np.uint64)
         mix64(inplace, out=inplace, scratch=np.empty_like(inplace))
+        for seed in top:
+            keys = derive_keys(seed, np.array(top, dtype=np.uint64))
+            assert keys.tolist() == [key(seed, i) for i in top]
+            for i in top:
+                assert int(derive_keys(seed, np.uint64(i))) == key(seed, i)
+                assert int(derive_keys(seed, np.array(i, dtype=np.uint64))) == key(seed, i)
+            for j in top:
+                assert int(bits_at(keys[2], np.uint64(j))) == bits(key(seed, top[2]), j)
+                assert int(bits_at(keys[1], np.array(j, dtype=np.uint64))) == bits(
+                    key(seed, top[1]), j)
+            grid = bits_at(keys[:, None], np.array(top, dtype=np.uint64))
+            assert grid.tolist() == [[bits(key(seed, i), j) for j in top] for i in top]
     assert int(zero_d) == int(scalar) == splitmix64_finalizer(values[0])
     assert array.tolist() == inplace.tolist() == [splitmix64_finalizer(v) for v in values]
     # The first output of SplitMix64 seeded with 0.
