@@ -9,9 +9,10 @@ own report) plus CSV data files <experiment>_<index>.csv into the output
 directory, and prints a one-line pass/fail summary.  A run that fails
 before it writes a file removes the directories it created for --out; one
 that existed before is left in place.  Exit status: 0 pass,
-1 threshold failure, 2 usage, configuration or output-directory error,
-3 no convergence (a collapse trial or walk hit its step limit, or the
-lens search failed).
+1 threshold failure, 2 usage, configuration or output-directory error
+(including a collapse run that would more likely than not hit its step
+limit), 3 no convergence (a collapse trial or walk hit its step limit, or
+the lens search failed).
 
 Each configuration key is one entry of PARAMS (type, default, valid range,
 help), which builds the --key-with-dashes flags listed by `spinsphere
@@ -41,6 +42,7 @@ from .collapse import (
     build_markov_chain,
     run_collapse_batch,
     run_ruin_walks,
+    timeout_chance,
 )
 from .curvature import commutator_curvature_identity, sectional_curvature
 from .evolution import (
@@ -156,8 +158,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _region(cfg) -> CaptureRegion:
-    return CaptureRegion(cfg["region_width"], cfg["region_alpha"], cfg["region_beta"])
+def _region(cfg, phi: Spinor) -> CaptureRegion:
+    """The capture region of a batch of cfg["trials"] trials of phi; a
+    ConfigError if, by the capture law, the batch more likely than not has
+    a trial that exceeds the step limit (it would run long, then exit 3)."""
+    region = CaptureRegion(cfg["region_width"], cfg["region_alpha"], cfg["region_beta"])
+    chance = timeout_chance(phi, region, cfg["trials"])
+    if chance >= 0.5:
+        raise ConfigError(
+            f"in this capture region a batch of {cfg['trials']} trials would exceed the "
+            f"step limit with probability {chance:.3g}; widen the region or lower --trials")
+    return region
 
 
 def _weighted_state(c1_sq: float) -> Spinor:
@@ -292,10 +303,12 @@ def run_curvature(cfg, out_dir: Path) -> dict:
 def run_uncertainty(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     worst_margin = math.inf
-    for _ in range(cfg["states"]):
-        r = rng.normal(size=4)
-        phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-        worst_margin = min(worst_margin, uncertainty_margin(phi))
+    # Blocks of 1,024 rows draw the stream of one size-4 call per state,
+    # without holding every state's Python floats at once.
+    for lo in range(0, cfg["states"], 1024):
+        for r in rng.normal(size=(min(1024, cfg["states"] - lo), 4)).tolist():
+            phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
+            worst_margin = min(worst_margin, uncertainty_margin(phi))
     worst_energy = 0.0
     for _ in range(1000):
         r = rng.normal(size=4)
@@ -330,7 +343,7 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
 
 def run_born(cfg, out_dir: Path) -> dict:
     phi = _weighted_state(cfg["c1sq"])
-    outcomes, steps = run_collapse_batch(phi, _region(cfg), cfg["seed"], cfg["trials"])
+    outcomes, steps = run_collapse_batch(phi, _region(cfg, phi), cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, cfg["c1sq"])
     if cfg["outcomes_csv"]:
         write_csv(
@@ -357,11 +370,11 @@ def run_markov(cfg, out_dir: Path) -> dict:
     oracle_error = float(np.abs(exact - closed).max())
     starts = sorted({max(1, (m * k) // 6) for k in range(1, 6)})
     n_walks = cfg["trials"]
+    absorbed, _ = run_ruin_walks(chain, starts, [cfg["seed"] + s for s in starts], n_walks)
     mc_freq = {}
     z_worst = 0.0
-    for start in starts:
-        absorbed, _ = run_ruin_walks(chain, start, cfg["seed"] + start, n_walks)
-        freq = float(absorbed.mean())
+    for start, row in zip(starts, absorbed):
+        freq = float(row.mean())
         mc_freq[start] = freq
         sigma = math.sqrt(max(exact[start] * (1 - exact[start]), 1e-12) / n_walks)
         z_worst = max(z_worst, abs(freq - exact[start]) / sigma)
@@ -414,7 +427,8 @@ def run_lens(cfg, out_dir: Path) -> dict:
 def run_epr(cfg, out_dir: Path) -> dict:
     a_sq = cfg["a_sq"]
     state = SingletSectorState(math.sqrt(a_sq), math.sqrt(1.0 - a_sq))
-    first, second, _ = run_epr_batch(state, cfg["seed"], cfg["trials"], _region(cfg))
+    region = _region(cfg, state.effective_spinor)
+    first, second, _ = run_epr_batch(state, cfg["seed"], cfg["trials"], region)
     stats = epr_statistics(first, second, cfg["seed"])
     freq = stats["counts_plus_minus"] / stats["n_trials"]
     sigma = math.sqrt(max(a_sq * (1 - a_sq), 1e-12) / stats["n_trials"])
@@ -441,7 +455,8 @@ def run_e2_split(cfg, out_dir: Path) -> dict:
     terminal = evolve_exact(Spinor(1.0, 0.0), params, cfg["t_final"])
     target = np.array([1.0, math.copysign(1.0, cfg["mu"] * b0)]) / math.sqrt(2.0)
     split_error = float(np.abs(terminal.vector - target).max())
-    outcomes, steps = run_collapse_batch(terminal, _region(cfg), cfg["seed"], cfg["trials"])
+    region = _region(cfg, terminal)
+    outcomes, steps = run_collapse_batch(terminal, region, cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, 0.5)
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
     write_csv(

@@ -35,11 +35,11 @@ blocks of ticks, and a block grows as the batch thins: a geometric tail of a
 few live trials takes a handful of long blocks, not hundreds of short ones.
 Draws are addressed by stream position, so the block widths change no
 outcome.  The batch and single-trial paths share the kernel, so they
-produce bit-identical outcomes.  A large batch runs
-the same kernel on contiguous slices of its trials in children forked for
-that batch, one per CPU the process may use, which exit before the batch
-returns and die with the process that forked them; since every trial owns
-its stream, the outcomes do not depend on the split.
+produce bit-identical outcomes.  A large batch of trials or of ruin walks
+runs its kernel on contiguous slices in children forked for that batch,
+one started on each CPU the process may use, which exit before the batch
+returns and die with the process that forked them; since every trial and
+walk owns its stream, the outcomes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ _TWO53 = 2**53
 _BLOCK = 32
 _ROWS = 1024
 _GROW = 16
-# run_collapse_batch splits batches of at least this many trials over the
-# CPUs of the process's affinity mask.  On 2 CPUs the split breaks even near
-# 6,000 trials in DEFAULT_REGION (2,000 in a pi/8 box): a slice has nearly
-# the geometric tail of the whole batch, so small batches gain nothing.
+# run_collapse_batch and run_ruin_walks split batches of at least this many
+# trials or walks over the CPUs of the process's affinity mask.  On 2 CPUs,
+# with each child started on its own CPU, the split breaks even near 2,000
+# trials in DEFAULT_REGION, 4,000 in a pi/8 box and 6,000 walks at m = 60:
+# a slice has nearly the tail of the whole batch, so small batches gain
+# nothing.
 _SHARD_MIN_TRIALS = 8192
 
 # Bloch pole and tangent frame of each source chart (the chart is anchored
@@ -220,6 +222,33 @@ def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> tuple:
     )
 
 
+def capture_law(phi: Spinor, region: CaptureRegion) -> tuple[Fraction, Fraction]:
+    """Exact per-tick capture probabilities (p0, p1) of the two sources.
+
+    Source k captures phi on a tick when its three draws fall in the
+    ranges of _source_window, so p_k is the product of their counts over
+    2^192.
+    """
+    return tuple(
+        Fraction(math.prod(count for _, count in _source_window(phi, k, region)), 2**192)
+        for k in (0, 1)
+    )
+
+
+def timeout_chance(phi: Spinor, region: CaptureRegion, n_trials: int,
+                   max_steps: int = 1_000_000) -> float:
+    """Chance by capture_law that run_collapse_batch(phi, region, seed,
+    n_trials, max_steps) has a trial that exceeds max_steps.
+
+    A tick captures with p_any = p0 + p1 - p0 p1, so a trial times out with
+    q = (1 - p_any)^max_steps and some trial of the batch with
+    1 - (1 - q)^n_trials, here in log1p/expm1 form.
+    """
+    p0, p1 = capture_law(phi, region)
+    q = math.exp(max_steps * math.log1p(-float(p0 + p1 - p0 * p1)))
+    return -math.expm1(n_trials * math.log1p(-q)) if q < 1.0 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # Collapse trials
 # ---------------------------------------------------------------------------
@@ -311,28 +340,34 @@ def _worker_count() -> int:
         return 1
 
 
-def _sharded_trials(windows, keys, max_steps):
-    """_run_trials on every CPU: contiguous key slices, one forked child each.
+def _sharded(run_slice, n, dtypes):
+    """run_slice(0, n) on every CPU: contiguous slices, one forked child each.
 
-    Streams are counter-based, so the result is bit-identical to one
-    _run_trials call over all keys.  Each child writes its slice into a
-    shared mapping; this process reaps every child before it returns or
-    raises, and reruns here the slice of a child that did not exit 0.
+    run_slice(lo, hi) returns one array per entry of dtypes, holding items
+    lo..hi; an item must depend on its own index alone, so that the result
+    is bit-identical to run_slice(0, n).  Child i first moves to CPU i (mod
+    their number) of this process's affinity mask, read before the forks,
+    then allows the whole mask again: it is placed, not pinned, since a
+    kernel that never balances load would leave it on the CPU it was forked
+    on, beside its sibling.  Each child writes
+    its slice into shared mappings; this process reaps every child before
+    it returns or raises, and reruns here the slice of a child that did not
+    exit 0.
     """
-    workers, n = _worker_count(), keys.size
+    workers = _worker_count()
     if workers < 2 or n < _SHARD_MIN_TRIALS:
-        return _run_trials(windows, keys, 0, max_steps)
-    shared = mmap.mmap(-1, 9 * n)
-    steps = np.frombuffer(shared, np.int64, n)
-    eigenstates = np.frombuffer(shared, np.int8, n, offset=8 * n)
+        return run_slice(0, n)
+    outs = [np.frombuffer(mmap.mmap(-1, n * np.dtype(d).itemsize), d) for d in dtypes]
 
     def run(lo, hi):
-        eigenstates[lo:hi], steps[lo:hi] = _run_trials(windows, keys[lo:hi], 0, max_steps)
+        for out, part in zip(outs, run_slice(lo, hi)):
+            out[lo:hi] = part
 
+    cpus = sorted(os.sched_getaffinity(0))
     cuts = [n * i // workers for i in range(workers + 1)]
     children, parent, prctl = [], os.getpid(), ctypes.CDLL(None).prctl
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
             # Hold signals (Ctrl-C) until the finally below knows the pid.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             try:
@@ -347,6 +382,8 @@ def _sharded_trials(windows, keys, max_steps):
                     prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
                     if os.getppid() != parent:
                         os._exit(1)
+                    os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+                    os.sched_setaffinity(0, cpus)
                     run(lo, hi)
                     os._exit(0)
                 finally:
@@ -361,7 +398,7 @@ def _sharded_trials(windows, keys, max_steps):
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return eigenstates, steps
+    return outs
 
 
 def run_collapse_trial(
@@ -424,7 +461,9 @@ def run_collapse_batch(
     """
     windows = tuple(_source_window(phi, k, region) for k in (0, 1))
     keys = derive_keys(seed, np.arange(n_trials))
-    eigenstates, steps = _sharded_trials(windows, keys, max_steps)
+    eigenstates, steps = _sharded(
+        lambda lo, hi: _run_trials(windows, keys[lo:hi], 0, max_steps),
+        n_trials, (np.int8, np.int64))
     left = int(np.count_nonzero(eigenstates < 0))
     if left:
         raise CollapseTimeoutError(
@@ -532,30 +571,21 @@ def _walk_thresholds(chain: MarkovChainModel) -> np.ndarray:
     return np.r_[pad, np.ceil(chain.toward_zero_prob * _TWO53), 0 * pad].astype(np.uint64)
 
 
-def run_ruin_walks(
-    chain: MarkovChainModel,
-    start_index: int,
-    seed: int,
-    n_walks: int,
-    max_steps: int = 10_000_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo walks; returns (absorbed_at_zero, steps) per walk.
+def _run_walks(thresholds, m, keys, start, max_steps):
+    """Walk kernel: walk r starts at state start[r] and draws from keys[r].
 
-    Step t of walk w tests draw t of the per-walk stream (seed, w) against
-    `_walk_thresholds`.  Each block of _BLOCK ticks makes one bits_at call
-    per slab of at most _ROWS alive walks into a buffer of that bound.  An
+    Returns (absorbed_at_zero, steps); a walk not absorbed within max_steps
+    has steps -1.  Each block of _BLOCK ticks makes one bits_at call per
+    slab of at most _ROWS alive walks into a buffer of that bound.  An
     absorbed walk keeps stepping away, so its overshoot at the end of the
     block gives its last step; `alive` is compacted once per block.
     """
-    if not 0 < start_index < chain.m:
-        raise ValueError("start_index must be an interior state")
-    keys = derive_keys(seed, np.arange(n_walks))
-    absorbed, steps = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
+    n = keys.size
+    absorbed, steps = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int64)
     # At tick c of a block, pos = position + c (+2 per step away, +0 toward 0) indexes views[c].
-    thresholds = _walk_thresholds(chain)
     views = [thresholds[_BLOCK - c :] for c in range(_BLOCK)]
-    alive, position = np.arange(n_walks), np.full(n_walks, start_index)
-    buf = np.empty((2, _BLOCK * min(n_walks, _ROWS)), dtype=np.uint64)
+    alive, position = np.arange(n), np.array(start)
+    buf = np.empty((2, _BLOCK * min(n, _ROWS)), dtype=np.uint64)
     tick0 = 0
     while alive.size and tick0 < max_steps:
         width = min(_BLOCK, max_steps - tick0)
@@ -572,12 +602,47 @@ def run_ruin_walks(
                 pos += away
                 pos += away
             pos -= width
-        overshoot = np.maximum(-position, position - chain.m)
+        overshoot = np.maximum(-position, position - m)
         done = overshoot >= 0
         absorbed[alive[done]] = position[done] <= 0
         steps[alive[done]] = tick0 + width - overshoot[done]
         alive, keys, position = alive[~done], keys[~done], position[~done]
         tick0 += width
-    if alive.size:
-        raise CollapseTimeoutError(f"{alive.size} of {n_walks} walks exceeded {max_steps} steps")
     return absorbed, steps
+
+
+def run_ruin_walks(
+    chain: MarkovChainModel,
+    start_index,
+    seed,
+    n_walks: int,
+    max_steps: int = 10_000_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo walks; returns (absorbed_at_zero, steps) per walk.
+
+    start_index and seed broadcast against each other to the shape of the
+    groups, () for two scalars; the results have that shape plus
+    (n_walks,).  Walk w of a group starts at its start_index and tests
+    draw t of the stream (its seed, w) at step t against
+    `_walk_thresholds`, so each group equals the call with its own scalars.
+    All groups run as one batch, split over the CPUs like a collapse batch
+    once it holds _SHARD_MIN_TRIALS walks.
+
+    Raises CollapseTimeoutError if any walk is not absorbed within
+    max_steps.
+    """
+    starts, seeds = np.broadcast_arrays(start_index, np.array(seed, dtype=object))
+    if not np.all((0 < starts) & (starts < chain.m)):
+        raise ValueError("start_index must be an interior state")
+    walks = np.arange(n_walks)
+    keys = np.array([derive_keys(s, walks) for s in seeds.flat], dtype=np.uint64).ravel()
+    position = np.repeat(starts.ravel(), n_walks)
+    thresholds = _walk_thresholds(chain)
+    absorbed, steps = _sharded(
+        lambda lo, hi: _run_walks(thresholds, chain.m, keys[lo:hi], position[lo:hi], max_steps),
+        keys.size, (bool, np.int64))
+    left = int(np.count_nonzero(steps < 0))
+    if left:
+        raise CollapseTimeoutError(f"{left} of {keys.size} walks exceeded {max_steps} steps")
+    shape = starts.shape + (n_walks,)
+    return absorbed.reshape(shape), steps.reshape(shape)

@@ -1,6 +1,7 @@
 """CLI harness tests: exit codes, reproducibility, config precedence."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from spinsphere import cli
 from spinsphere.cli import main, parse_config_file, resolve_config, build_parser
-from spinsphere.collapse import CollapseTimeoutError
+from spinsphere.collapse import CollapseTimeoutError, capture_law
 from spinsphere.lens import LensSearchError
 from spinsphere.reports import write_csv
 
@@ -158,6 +159,45 @@ def test_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
         "error: born: out of memory (Unable to allocate 745. GiB for an array "
         "with shape (100000000000,) and data type int64)\n")
     assert not (tmp_path / "born_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, p_any_zero",
+    [
+        (["born", "--region-width", "1e-17", "--trials", "2000"], False),
+        (["epr", "--region-width", "1e-17"], False),
+        # The terminal state (1, -1)/sqrt(2) has no grid point in this box.
+        (["e2-split", "--mu", "-1", "--region-width", "1e-17", "--trials", "1"], True),
+    ],
+)
+def test_hopeless_collapse_runs_exit_2_before_the_batch(tmp_path, capsys, monkeypatch,
+                                                         argv, p_any_zero):
+    # A theta box of 1e-17 holds at most one grid point per source, so
+    # p_any <= 2^-56 and a trial outlasts 10^6 steps almost surely.
+    def never(*args, **kwargs):
+        raise AssertionError("the batch ran")
+
+    laws, timeout_chance = [], cli.timeout_chance
+
+    def record(phi, region, n_trials):
+        laws.append(capture_law(phi, region))
+        return timeout_chance(phi, region, n_trials)
+
+    monkeypatch.setattr(cli, "run_collapse_batch", never)
+    monkeypatch.setattr(cli, "run_epr_batch", never)
+    monkeypatch.setattr(cli, "timeout_chance", record)
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: in this capture region a batch of ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert len(laws) == 1 and (laws[0] == (0, 0)) == p_any_zero
+
+
+@pytest.mark.parametrize("chance, code", [(0.5, 2), (math.nextafter(0.5, 0.0), 0)])
+def test_runs_are_refused_from_a_timeout_chance_of_one_half(tmp_path, monkeypatch,
+                                                             chance, code):
+    monkeypatch.setattr(cli, "timeout_chance", lambda *args: chance)
+    assert run_cli(["born", "--trials", "1000", "--out", str(tmp_path)]) == code
 
 
 def test_oversized_planes_fails_fast(tmp_path, capsys):

@@ -329,13 +329,17 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
     phi = state_with_weight(0.5)
     keys = derive_keys(42, np.arange(n))
     windows = tuple(_source_window(phi, k, WIDE_BOX) for k in (0, 1))
+
+    def run_slice(lo, hi):
+        return _run_trials(windows, keys[lo:hi], 0, 500)
+
     results = []
     for grow in (1, collapse._GROW):
         monkeypatch.setattr(collapse, "_GROW", grow)
         forks = force_workers(monkeypatch, workers)
         with pytest.raises(CollapseTimeoutError) as info:
             run_collapse_batch(phi, WIDE_BOX, 42, n, max_steps=500)
-        results.append((str(info.value), collapse._sharded_trials(windows, keys, 500)))
+        results.append((str(info.value), collapse._sharded(run_slice, n, (np.int8, np.int64))))
         assert len(forks) == (2 * workers if workers > 1 else 0)
         assert_reaped(forks)
     (message, (eig, steps)), (grown_message, (grown_eig, grown_steps)) = results
@@ -425,6 +429,46 @@ def test_a_ctrl_c_right_after_a_fork_still_reaps_the_child(monkeypatch):
                            collapse._SHARD_MIN_TRIALS)
     assert len(forks) == 1
     assert_reaped(forks)
+
+
+def test_more_children_than_cpus_are_placed_in_turn(tmp_path, monkeypatch):
+    # Three children on a two-CPU mask: child i asks for CPU i mod 2 alone,
+    # then for the whole mask again, and runs its slice itself.
+    args = (state_with_weight(0.3), WIDE_BOX, 606, collapse._SHARD_MIN_TRIALS + 3)
+    force_workers(monkeypatch, 1)
+    serial = run_collapse_batch(*args)
+    forks = force_workers(monkeypatch, 3)
+    log, parent, run_trials, calls = tmp_path / "affinity", os.getpid(), _run_trials, []
+
+    def record(pid, cpus):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    def count_calls_here(*a):
+        if os.getpid() == parent:
+            calls.append(a)
+        return run_trials(*a)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 7})
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    monkeypatch.setattr(collapse, "_run_trials", count_calls_here)
+    outcomes, steps = run_collapse_batch(*args)
+    assert np.array_equal(outcomes, serial[0]) and np.array_equal(steps, serial[1])
+    assert len(forks) == 3 and not calls
+    assert_reaped(forks)
+    lines = log.read_text().splitlines()
+    for pid, cpu in zip(forks, (4, 7, 4)):
+        assert [line for line in lines if line.startswith(f"{pid} ")] == [
+            f"{pid} [{cpu}]", f"{pid} [4, 7]"]
+    assert len(lines) == 6
+
+
+def test_a_sharded_batch_leaves_the_callers_affinity(monkeypatch):
+    before = os.sched_getaffinity(0)
+    forks = force_workers(monkeypatch, 2)
+    run_collapse_batch(state_with_weight(0.5), WIDE_BOX, 9, collapse._SHARD_MIN_TRIALS)
+    assert len(forks) == 2
+    assert os.sched_getaffinity(0) == before
 
 
 # A parent that prints the pid of each child it forks, then runs a batch in
@@ -713,12 +757,13 @@ def _window_law(phi, region):
     """(P0, p_any) of the law the kernel's integer windows realize.
 
     Source k captures on a tick with p_k = (theta count)(alpha count)(beta
-    count) / 2^192.  A same-tick double capture is a fair coin (both beta
-    ranges have one length, up to a grid point), so P0 = p0 (1 - p1/2) /
-    p_any, and the steps are geometric with mean 1/p_any.
+    count) / 2^192 (collapse.capture_law).  A same-tick double capture is a
+    fair coin (both beta ranges have one length, up to a grid point), so
+    P0 = p0 (1 - p1/2) / p_any, and the steps are geometric with mean
+    1/p_any.
     """
-    p0, p1 = (Fraction(math.prod(count for _, count in _source_window(phi, k, region)),
-                       2**192) for k in (0, 1))
+    p0, p1 = collapse.capture_law(phi, region)
+    assert isinstance(p0, Fraction) and isinstance(p1, Fraction)
     p_any = p0 + p1 - p0 * p1
     return float(p0 * (1 - p1 / 2) / p_any), float(p_any)
 
@@ -739,6 +784,38 @@ def test_engine_realizes_the_window_law(c1_sq, region, n):
     z_freq = (float(np.mean(out == 0)) - p0) / math.sqrt(p0 * (1.0 - p0) / n)
     z_steps = (float(steps.mean()) - 1.0 / p_any) / (math.sqrt((1.0 - p_any) / n) / p_any)
     assert abs(z_freq) <= 3.0 and abs(z_steps) <= 3.0, (z_freq, z_steps)
+
+
+def test_timeout_chance_on_both_sides_of_one_half():
+    # Against the plain formula 1 - (1 - (1 - p_any)^s)^n, where floats
+    # resolve it: the smallest n that reaches 1/2 and the n below it.
+    phi, region, max_steps = state_with_weight(0.75), DEFAULT_REGION, 5000
+    p_any = float(_window_law(phi, region)[1])
+    q = (1.0 - p_any) ** max_steps
+    assert 1e-3 < q < 1e-2
+
+    def chance(n):
+        return 1.0 - (1.0 - q) ** n
+
+    n = next(n for n in range(1, 10_000) if chance(n) >= 0.5)
+    for trials, refused in ((n - 1, False), (n, True)):
+        got = collapse.timeout_chance(phi, region, trials, max_steps)
+        assert got == pytest.approx(chance(trials), rel=1e-9)
+        assert (got >= 0.5) == refused
+
+
+def test_timeout_chance_without_a_grid_point_in_the_box():
+    # A theta box of 1e-17 at these states holds no grid point of either
+    # source, so no trial can ever be captured.
+    phi, region = Spinor(math.sqrt(0.5), -math.sqrt(0.5)), CaptureRegion(1e-17, 0.1, 0.1)
+    assert collapse.capture_law(phi, region) == (0, 0)
+    assert collapse.timeout_chance(phi, region, 1) == 1.0
+    # One grid point: p_any is near 2^-57, so one trial of 10^6 steps
+    # almost surely times out.
+    region = CaptureRegion(1e-17, math.pi / 8, math.pi / 8)
+    p_any = _window_law(state_with_weight(0.5), region)[1]
+    assert 0 < p_any < 1e-16
+    assert 1 - 1e-10 < collapse.timeout_chance(state_with_weight(0.5), region, 1) < 1
 
 
 def test_memoryless_capture():

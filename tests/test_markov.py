@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
+from test_collapse import BOTH_PATHS, assert_reaped, force_workers
 
 from spinsphere import collapse
 from spinsphere.collapse import (
@@ -101,10 +104,81 @@ def test_walk_determinism_and_guards():
         (5, 1, 99, 5000, "b81eb3e853a99c895ebe08562896a5806e0efe127d187427d18ffd09ef32c8c0"),
     ],
 )
-def test_walks_golden_digest(m, start, seed, n_walks, digest):
+@BOTH_PATHS
+def test_walks_golden_digest(m, start, seed, n_walks, digest, workers, monkeypatch):
+    # The sharded path also takes these small batches.
+    monkeypatch.setattr(collapse, "_SHARD_MIN_TRIALS", 1)
+    forks = force_workers(monkeypatch, workers)
     absorbed, steps = run_ruin_walks(build_markov_chain(m), start, seed, n_walks)
     data = absorbed.astype("<u1").tobytes() + steps.astype("<i8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert_reaped(forks)
+
+
+# Three groups below _SHARD_MIN_TRIALS that together reach it.
+GROUPS = dict(chain=build_markov_chain(12), start_index=[2, 6, 10], seed=[5, 6, 7],
+              n_walks=3000)
+
+
+@BOTH_PATHS
+def test_grouped_walks_equal_the_scalar_calls(workers, monkeypatch):
+    chain, n = GROUPS["chain"], GROUPS["n_walks"]
+    assert n < collapse._SHARD_MIN_TRIALS <= 3 * n
+    force_workers(monkeypatch, 1)
+    scalar = [run_ruin_walks(chain, start, seed, n)
+              for start, seed in zip(GROUPS["start_index"], GROUPS["seed"])]
+    forks = force_workers(monkeypatch, workers)
+    absorbed, steps = run_ruin_walks(**GROUPS)
+    assert absorbed.shape == steps.shape == (3, n)
+    assert absorbed.dtype == bool and steps.dtype == np.int64
+    assert np.array_equal(absorbed, [a for a, _ in scalar])
+    assert np.array_equal(steps, [s for _, s in scalar])
+    # A scalar start broadcasts over a sequence of seeds.
+    absorbed, steps = run_ruin_walks(chain, 6, [5, 6, 7], n)
+    assert np.array_equal(absorbed[1], scalar[1][0]) and np.array_equal(steps[1], scalar[1][1])
+    assert len(forks) == (2 * workers if workers > 1 else 0)
+    assert_reaped(forks)
+
+
+def test_walks_rerun_the_slice_of_a_killed_child(monkeypatch):
+    force_workers(monkeypatch, 1)
+    serial = run_ruin_walks(**GROUPS)
+    forks = force_workers(monkeypatch, 2)
+    parent, run_walks = os.getpid(), collapse._run_walks
+
+    def kill_first_child(thresholds, m, keys, start, max_steps):
+        if os.getpid() != parent and start[0] == GROUPS["start_index"][0]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_walks(thresholds, m, keys, start, max_steps)
+
+    monkeypatch.setattr(collapse, "_run_walks", kill_first_child)
+    absorbed, steps = run_ruin_walks(**GROUPS)
+    assert np.array_equal(absorbed, serial[0]) and np.array_equal(steps, serial[1])
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_a_walk_timeout_in_a_child_is_counted_not_rerun(monkeypatch):
+    force_workers(monkeypatch, 1)
+    with pytest.raises(CollapseTimeoutError) as serial:
+        run_ruin_walks(**GROUPS, max_steps=40)
+    forks = force_workers(monkeypatch, 2)
+    parent, run_walks, calls = os.getpid(), collapse._run_walks, []
+
+    def count_calls_here(*args):
+        if os.getpid() == parent:
+            calls.append(args)
+        return run_walks(*args)
+
+    monkeypatch.setattr(collapse, "_run_walks", count_calls_here)
+    with pytest.raises(CollapseTimeoutError) as sharded:
+        run_ruin_walks(**GROUPS, max_steps=40)
+    over = int(str(sharded.value).split()[0])
+    assert str(sharded.value) == str(serial.value) == f"{over} of 9000 walks exceeded 40 steps"
+    assert 0 < over < 9000
+    assert len(forks) == 2 and not calls
+    assert_reaped(forks)
 
 
 def oracle_walks(chain, start, seed, n_walks):
