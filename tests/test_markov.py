@@ -95,7 +95,8 @@ def test_walk_determinism_and_guards():
 
 
 # Pinned (absorbed, steps) of the walk engine; any change to run_ruin_walks
-# or to the streams it reads must leave these bit-identical.
+# or to the streams it reads must leave these bit-identical on both paths.
+@BOTH_PATHS
 @pytest.mark.parametrize(
     "m, start, seed, n_walks, digest",
     [
@@ -104,7 +105,6 @@ def test_walk_determinism_and_guards():
         (5, 1, 99, 5000, "b81eb3e853a99c895ebe08562896a5806e0efe127d187427d18ffd09ef32c8c0"),
     ],
 )
-@BOTH_PATHS
 def test_walks_golden_digest(m, start, seed, n_walks, digest, workers, monkeypatch):
     # The sharded path also takes these small batches.
     monkeypatch.setattr(collapse, "_SHARD_MIN_TRIALS", 1)
