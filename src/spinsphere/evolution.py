@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floats import fma
 from .su2 import PAULI, Spinor
 
 
@@ -133,6 +134,37 @@ def speed_along(traj: Trajectory) -> np.ndarray:
     return np.linalg.norm(_velocity(traj.states, traj.meta), axis=1)
 
 
+def _gen_times(g, x):
+    """gen @ x for a complex pair x as (re, im) parts, rounded as BLAS's
+    zgemv rounds it: each row is the sum of two complex products z * x_j,
+    each (fma(z.re, x_j.re, -(z.im * x_j.im)), fma(z.re, x_j.im, z.im * x_j.re)).
+
+    g holds each entry z of the 2x2 matrix gen, row by row, as
+    (z.re, z.im, -z.im); -(z.im * y) is (-z.im) * y exactly."""
+    g00r, g00i, g00n, g01r, g01i, g01n, g10r, g10i, g10n, g11r, g11i, g11n = g
+    ar, ai, br, bi = x
+    return (
+        fma(g00r, ar, g00n * ai) + fma(g01r, br, g01n * bi),
+        fma(g00r, ai, g00i * ar) + fma(g01r, bi, g01i * br),
+        fma(g10r, ar, g10n * ai) + fma(g11r, br, g11n * bi),
+        fma(g10r, ai, g10i * ar) + fma(g11r, bi, g11i * br),
+    )
+
+
+def _plus_scaled(x, s, k):
+    """x + s * k for complex pairs x, k as (re, im) parts and a real s, as
+    numpy rounds it: s is promoted to s + 0j, and 0 * (the other part) sets
+    the sign of a zero."""
+    xar, xai, xbr, xbi = x
+    kar, kai, kbr, kbi = k
+    return (
+        xar + (s * kar - 0.0 * kai),
+        xai + (s * kai + 0.0 * kar),
+        xbr + (s * kbr - 0.0 * kbi),
+        xbi + (s * kbi + 0.0 * kbr),
+    )
+
+
 def integrate_numeric(
     phi0: Spinor, p: FieldParams, dt: float, n_steps: int
 ) -> Trajectory:
@@ -141,6 +173,16 @@ def integrate_numeric(
     The state is renormalized after every step; the largest
     pre-normalization norm deviation is reported as `max_drift` on the
     returned trajectory rather than silently discarded.
+
+    The step runs on Python floats, the (re, im) parts of both
+    components, with the formulas of the complex numpy step it replaced,
+    in the same order, and with that step's roundings on a BLAS that uses
+    fused multiply-adds: `gen @ state` as `_gen_times`, each real times
+    complex as in `_plus_scaled`, the norm as
+    sqrt(fma(b.re, b.re, a.re * a.re) + fma(b.im, b.im, a.im * a.im)), and
+    the division by the norm as numpy's complex division, a multiply by
+    1/norm.  Each multiply-add is `floats.fma`, rounded once exactly, so
+    the bits no longer depend on the BLAS kernel of the machine.
 
     Raises StepSizeError when dt * |omega| > 0.1 (accuracy guard) and
     ZeroFieldError for a vanishing field.
@@ -154,20 +196,27 @@ def integrate_numeric(
             f"dt*|omega| = {dt * abs(p.omega):.3g} exceeds the 0.1 accuracy guard"
         )
     gen = (1j * p.mu / p.hbar) * p.sigma_dot_b
-    state = phi0.vector
-    states = np.empty((n_steps + 1, 2), dtype=complex)
-    states[0] = state
+    g = [part for z in gen.ravel().tolist() for part in (z.real, z.imag, -z.imag)]
+    half, sixth = 0.5 * dt, dt / 6.0
+    state = (phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag)
+    flat = list(state)
     max_drift = 0.0
-    for k in range(n_steps):
-        k1 = gen @ state
-        k2 = gen @ (state + 0.5 * dt * k1)
-        k3 = gen @ (state + 0.5 * dt * k2)
-        k4 = gen @ (state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.linalg.norm(state)
+    for _ in range(n_steps):
+        k1 = _gen_times(g, state)
+        k2 = _gen_times(g, _plus_scaled(state, half, k1))
+        k3 = _gen_times(g, _plus_scaled(state, half, k2))
+        k4 = _gen_times(g, _plus_scaled(state, dt, k3))
+        # k1 + 2 k2 + 2 k3 + k4, added left to right
+        partial = _plus_scaled(_plus_scaled(k1, 2.0, k2), 2.0, k3)
+        total = (partial[0] + k4[0], partial[1] + k4[1], partial[2] + k4[2], partial[3] + k4[3])
+        ar, ai, br, bi = _plus_scaled(state, sixth, total)
+        norm = math.sqrt(fma(br, br, ar * ar) + fma(bi, bi, ai * ai))
         max_drift = max(max_drift, abs(norm - 1.0))
-        state = state / norm
-        states[k + 1] = state
+        inv = 1.0 / norm  # numpy divides by norm + 0j: (re + im * 0) / norm
+        state = ((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv,
+                 (br + bi * 0.0) * inv, (bi - br * 0.0) * inv)
+        flat.extend(state)
+    states = np.array(flat).view(complex).reshape(n_steps + 1, 2)
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, states, p, max_drift)
 

@@ -6,10 +6,11 @@ metric satisfy the geometrical-optics ray equation
     d^2 q / d tau^2 = (1/2) grad(eta^2),
 
 i.e. Newtonian motion of a unit mass in the potential U = -eta^2 / 2.
-A field carries eta^2 and its analytic gradient.  `integrate_ray`
-returns a ray as one array with a (q, v) row per leapfrog step.  The ray
-invariant E = |v|^2/2 - eta^2(q)/2 is conserved, which is the
-integrator's primary diagnostic; `ray_energy` evaluates it along a ray.
+A field carries eta^2 and its analytic gradient as float functions of
+the point (x, y) of the plane.  `integrate_ray` returns a ray as one
+array with a (q, v) row per leapfrog step.  The ray invariant
+E = |v|^2/2 - eta^2(q)/2 is conserved, which is the integrator's
+primary diagnostic; `ray_energy` evaluates it along a ray.
 `design_lens` searches a family of localized Gaussian perturbations of
 eta^2 for one that bends a given ray onto a target point ("denting" the
 space so the geodesic lands where the measurement wants it);
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floats import fma
 from .su2 import BASIS_MATRICES, Spinor
 
 LENS_MISS_TOL = 1e-3  # a lens design is accepted when its ray passes this close
@@ -44,66 +46,79 @@ class SingularHamiltonianError(ValueError):
 
 
 class RefractiveField:
-    """Scalar field eta^2 over chart coordinates, with its analytic gradient.
+    """Scalar field eta^2 over the plane, with its analytic gradient.
 
-    Both functions take a float array q.  eta^2 must be positive and
-    finite wherever it is evaluated; a failure of either function is
-    raised as FieldEvaluationError naming q.
+    eta_sq_fn(x, y) returns eta^2 at the point (x, y) as a float, and
+    grad_fn(x, y) returns its gradient as a float pair (gx, gy).  eta^2
+    must be positive and finite wherever it is evaluated; a failure of
+    either function is raised as FieldEvaluationError naming the point.
     """
 
     def __init__(self, eta_sq_fn, grad_fn):
         self._eta_sq_fn = eta_sq_fn
         self._grad_fn = grad_fn
 
-    def eta_sq(self, q) -> float:
-        q = np.asarray(q, dtype=float)
+    def eta_sq(self, x: float, y: float) -> float:
         try:
-            value = float(self._eta_sq_fn(q))
+            value = float(self._eta_sq_fn(x, y))
         except Exception as exc:
-            raise FieldEvaluationError(f"eta^2 failed at q={q}") from exc
+            raise FieldEvaluationError(f"eta^2 failed at q=({x}, {y})") from exc
         if not math.isfinite(value) or value <= 0.0:
             raise FieldEvaluationError(
-                f"eta^2 must be positive and finite, got {value} at q={q}"
+                f"eta^2 must be positive and finite, got {value} at q=({x}, {y})"
             )
         return value
 
-    def grad_eta_sq(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+    def grad_eta_sq(self, x: float, y: float) -> tuple[float, float]:
         try:
-            return np.asarray(self._grad_fn(q), dtype=float)
+            gx, gy = self._grad_fn(x, y)
         except Exception as exc:
-            raise FieldEvaluationError(f"grad eta^2 failed at q={q}") from exc
+            raise FieldEvaluationError(f"grad eta^2 failed at q=({x}, {y})") from exc
+        return gx, gy
 
 
 def uniform_field() -> RefractiveField:
     """Homogeneous medium eta^2 = 1: straight-line rays."""
-    return RefractiveField(
-        lambda q: 1.0, lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    )
+    return RefractiveField(lambda x, y: 1.0, lambda x, y: (0.0, 0.0))
 
 
 def gaussian_bump_field(center, amplitude: float, width: float) -> RefractiveField:
-    """eta^2 = 1 + A exp(-|q - c|^2 / w^2), with analytic gradient."""
-    c = np.asarray(center, dtype=float)
+    """eta^2 = 1 + A exp(-|q - c|^2 / w^2), with analytic gradient.
 
-    def eta_sq(q):
-        d = np.asarray(q, dtype=float) - c
-        return 1.0 + amplitude * math.exp(-float(np.dot(d, d)) / width**2)
+    |q - c|^2 is fma(dy, dy, dx * dx), the rounding of the BLAS dot
+    product this field was first written with."""
+    cx, cy = (float(c) for c in center)
+    w_sq = width**2
 
-    def grad(q):
-        d = np.asarray(q, dtype=float) - c
-        bump = amplitude * math.exp(-float(np.dot(d, d)) / width**2)
-        return (-2.0 / width**2) * bump * d
+    def eta_sq(x, y):
+        dx = x - cx
+        dy = y - cy
+        return 1.0 + amplitude * math.exp(-fma(dy, dy, dx * dx) / w_sq)
+
+    def grad(x, y):
+        dx = x - cx
+        dy = y - cy
+        scale = (-2.0 / w_sq) * (amplitude * math.exp(-fma(dy, dy, dx * dx) / w_sq))
+        return scale * dx, scale * dy
 
     return RefractiveField(eta_sq, grad)
 
 
+def _plane_points(points) -> list:
+    """Rows of a float array of shape (n, 2) as [x, y] lists."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"expected points of the plane, shape (n, 2), got {points.shape}")
+    return points.tolist()
+
+
 def ray_energy(q, v, field: RefractiveField) -> np.ndarray:
     """Conserved ray invariant E = |v|^2 / 2 - eta^2(q) / 2 of every row of
-    the positions q and velocities v, each of shape (n, dim)."""
+    the positions q and velocities v, each of shape (n, 2); |v|^2 is
+    fma(vy, vy, vx * vx), as in `gaussian_bump_field`."""
     return np.array([
-        0.5 * float(np.dot(v_k, v_k)) - 0.5 * field.eta_sq(q_k)
-        for q_k, v_k in zip(q, v)
+        0.5 * fma(vy, vy, vx * vx) - 0.5 * field.eta_sq(x, y)
+        for (x, y), (vx, vy) in zip(_plane_points(q), _plane_points(v))
     ])
 
 
@@ -111,31 +126,38 @@ def integrate_ray(
     q0, v0, field: RefractiveField, dtau: float, n_steps: int
 ) -> np.ndarray:
     """Leapfrog (velocity Verlet) integration of the ray equation from
-    position q0 and velocity v0 = dq/dtau at tau = 0.
+    position q0 and velocity v0 = dq/dtau at tau = 0, both points of the
+    plane.
 
-    Returns an array of shape (n_steps + 1, 2, dim): ray[k, 0] is q and
+    Returns an array of shape (n_steps + 1, 2, 2): ray[k, 0] is q and
     ray[k, 1] is v at tau = k * dtau, the start included.  The scheme is
     symplectic, so E oscillates within an O(dtau^2) band instead of
     drifting.
+
+    The step runs on Python floats, one coordinate at a time, with the
+    operations of the numpy array step it replaced in the same order.  It
+    has no multiply-add of its own; where a field or `ray_energy` has one
+    (a squared distance or speed), it is `floats.fma`, rounded once
+    exactly, so rays do not depend on the BLAS kernel of the machine.
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
-    q = np.asarray(q0, dtype=float).reshape(-1)
-    v = np.asarray(v0, dtype=float).reshape(-1)
-    if q.shape != v.shape:
-        raise ValueError("q0 and v0 must have matching dimension")
-    ray = np.empty((n_steps + 1, 2, q.size))
-    ray[0, 0] = q
-    ray[0, 1] = v
-    acc = 0.5 * field.grad_eta_sq(q)
-    for k in range(1, n_steps + 1):
-        v_half = v + 0.5 * dtau * acc
-        q = q + dtau * v_half
-        acc = 0.5 * field.grad_eta_sq(q)
-        v = v_half + 0.5 * dtau * acc
-        ray[k, 0] = q
-        ray[k, 1] = v
-    return ray
+    (x, y), (vx, vy) = _plane_points([q0, v0])
+    half = 0.5 * dtau
+    gx, gy = field.grad_eta_sq(x, y)
+    ax, ay = 0.5 * gx, 0.5 * gy
+    ray = [x, y, vx, vy]
+    for _ in range(n_steps):
+        hx = vx + half * ax
+        hy = vy + half * ay
+        x = x + dtau * hx
+        y = y + dtau * hy
+        gx, gy = field.grad_eta_sq(x, y)
+        ax, ay = 0.5 * gx, 0.5 * gy
+        vx = hx + half * ax
+        vy = hy + half * ay
+        ray += (x, y, vx, vy)
+    return np.array(ray).reshape(n_steps + 1, 2, 2)
 
 
 def _min_distance_to_point(positions: np.ndarray, target: np.ndarray) -> float:

@@ -46,9 +46,10 @@ def mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
 
 
 def derive_keys(seed: int, trial_indices) -> np.ndarray:
-    """Per-trial stream keys from the master seed."""
+    """Per-trial stream keys from the master seed (any integer, taken
+    modulo 2^64; a numpy integer is the Python int of the same value)."""
     idx = np.asarray(trial_indices, dtype=np.uint64)
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    base = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     step = np.multiply(np.add(idx, np.uint64(1)), GOLDEN)
     return mix64(mix64(np.add(base, GOLDEN)) ^ mix64(step))
 

@@ -5,6 +5,7 @@ exponential; the numeric integrator is checked against the closed form
 and for its fourth-order convergence rate.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from spinsphere.evolution import (
     integrate_numeric,
     speed_along,
 )
+from spinsphere.cli import main
 from spinsphere.su2 import Spinor
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -39,6 +41,28 @@ def random_case(rng, b_scale=1.5):
 def expm_oracle(phi0, p, t):
     u = expm((1j * p.mu / p.hbar) * p.sigma_dot_b * t)
     return u @ phi0.vector
+
+
+def numpy_rk4(phi0, p, dt, n_steps):
+    """The integrator's step on complex numpy arrays, as it was written
+    before it moved to floats: states of shape (n_steps + 1, 2) and the
+    largest norm drift.  Its last bits follow the BLAS kernel's."""
+    gen = (1j * p.mu / p.hbar) * p.sigma_dot_b
+    state = phi0.vector
+    states = np.empty((n_steps + 1, 2), dtype=complex)
+    states[0] = state
+    max_drift = 0.0
+    for k in range(n_steps):
+        k1 = gen @ state
+        k2 = gen @ (state + 0.5 * dt * k1)
+        k3 = gen @ (state + 0.5 * dt * k2)
+        k4 = gen @ (state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm = np.linalg.norm(state)
+        max_drift = max(max_drift, abs(norm - 1.0))
+        state = state / norm
+        states[k + 1] = state
+    return states, max_drift
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +203,42 @@ def test_integrate_step_guard():
         integrate_numeric(Spinor(1, 0), p, 0.01, 10)
     with pytest.raises(ValueError):
         integrate_numeric(Spinor(1, 0), FieldParams((0, 0, 1.0)), -1e-3, 10)
+
+
+@pytest.mark.parametrize("phi0, p", [
+    (Spinor(math.sqrt(0.3), math.sqrt(0.7)), FieldParams((0.0, 0.0, 1.0))),
+    (Spinor(0.9, math.sqrt(0.19)), FieldParams((0.3, -0.7, 0.2), mu=-1.7)),
+    (Spinor(0.6 - 0.2j, 0.1 + 0.7j), FieldParams((-1.1, 0.4, 0.8), mu=0.6, hbar=1.3)),
+])
+def test_integrate_matches_the_numpy_step(phi0, p):
+    # Same formulas in the same order; only the BLAS kernel's roundings
+    # may separate them, so 10,000 steps must agree far below the
+    # integrator's own error.
+    traj = integrate_numeric(phi0, p, 1e-4, 10_000)
+    states, max_drift = numpy_rk4(phi0, p, 1e-4, 10_000)
+    assert np.abs(traj.states - states).max() < 1e-12
+    assert abs(traj.max_drift - max_drift) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, csv, digest",
+    [
+        (["evolve", "--bx", "0.3", "--by", "-0.7", "--bz", "0.2", "--mu", "-1.7",
+          "--c1sq", "0.81", "--dt", "1e-4"], "evolve_0.csv",
+         "d525d5d29447d74ccf1a4a5858d73b48b4b8a62f681aa2171921df7458e68c3d"),
+        (["evolve", "--mu", "-1.3", "--c1sq", "1"], "evolve_0.csv",
+         "024d25255476254eae189711261e4a60671518a0e5cc4c98d13113b75c9316b3"),
+        (["e2-split", "--trials", "2000"], "e2_split_0.csv",
+         "6a11517ca5ea58a21411a62eff36165b3eda2bb9f3f032861e374d1d207a550e"),
+    ],
+    ids=["evolve-off-axis", "evolve-eigenstate", "e2-split"],
+)
+def test_trajectory_csv_golden(tmp_path, argv, csv, digest):
+    # Bit-exact pins of the integrator's trajectory, the same under every
+    # BLAS kernel: off axis every multiply-add rounds once, and the
+    # eigenstate keeps its zero component's signs.
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
 
 
 def test_integrate_fourth_order_convergence():

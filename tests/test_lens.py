@@ -34,6 +34,42 @@ def energies(ray, field):
     return ray_energy(ray[:, 0], ray[:, 1], field)
 
 
+def numpy_bump(center, amplitude, width):
+    """eta^2 and its gradient on numpy points, as gaussian_bump_field was
+    written before the ray moved to floats."""
+    c = np.asarray(center, dtype=float)
+
+    def eta_sq(q):
+        d = np.asarray(q, dtype=float) - c
+        return 1.0 + amplitude * math.exp(-float(np.dot(d, d)) / width**2)
+
+    def grad(q):
+        d = np.asarray(q, dtype=float) - c
+        bump = amplitude * math.exp(-float(np.dot(d, d)) / width**2)
+        return (-2.0 / width**2) * bump * d
+
+    return eta_sq, grad
+
+
+def numpy_leapfrog(q0, v0, grad, dtau, n_steps):
+    """The leapfrog step on numpy arrays, as integrate_ray was written
+    before it moved to floats: the (n_steps + 1, 2, dim) ray."""
+    q = np.asarray(q0, dtype=float).reshape(-1)
+    v = np.asarray(v0, dtype=float).reshape(-1)
+    ray = np.empty((n_steps + 1, 2, q.size))
+    ray[0, 0] = q
+    ray[0, 1] = v
+    acc = 0.5 * grad(q)
+    for k in range(1, n_steps + 1):
+        v_half = v + 0.5 * dtau * acc
+        q = q + dtau * v_half
+        acc = 0.5 * grad(q)
+        v = v_half + 0.5 * dtau * acc
+        ray[k, 0] = q
+        ray[k, 1] = v
+    return ray
+
+
 # ---------------------------------------------------------------------------
 # Integrator
 # ---------------------------------------------------------------------------
@@ -51,8 +87,9 @@ def test_constant_gradient_exact_parabola():
     # eta^2 = 1 + 2 g.q gives constant acceleration g; velocity Verlet
     # reproduces the quadratic exactly up to roundoff.
     g = np.array([0.0, -0.25])
+    gx, gy = g.tolist()
     field = RefractiveField(
-        lambda q: 1.0 + 2.0 * float(np.dot(g, q)), lambda q: 2.0 * g
+        lambda x, y: 1.0 + 2.0 * (gx * x + gy * y), lambda x, y: (2.0 * gx, 2.0 * gy)
     )
     dtau = 1e-3
     ray = integrate_ray((0.0, 0.0), (1.0, 0.5), field, dtau, 2000)
@@ -72,7 +109,7 @@ def test_gaussian_bump_attracts_ray():
     assert y_final > 0.01  # pulled toward positive y
 
     def rhs(_, s):
-        return np.concatenate([s[2:], 0.5 * field.grad_eta_sq(s[:2])])
+        return np.concatenate([s[2:], 0.5 * np.array(field.grad_eta_sq(*s[:2]))])
 
     ref = solve_ivp(
         rhs,
@@ -83,6 +120,20 @@ def test_gaussian_bump_attracts_ray():
         dense_output=True,
     )
     assert np.abs(ray[-1, 0] - ref.y[:2, -1]).max() < 1e-5
+
+
+def test_leapfrog_matches_the_numpy_step():
+    # Same formulas in the same order; only the BLAS dot product's
+    # rounding may separate them, so 10,000 steps must agree far below
+    # the integrator's own error.
+    eta_sq, grad = numpy_bump((0.5, 0.3), 0.5, 0.7)
+    ray = integrate_ray((-1.5, 0.1), (1.0, 0.05), GAUSS, 2e-4, 10_000)
+    reference = numpy_leapfrog((-1.5, 0.1), (1.0, 0.05), grad, 2e-4, 10_000)
+    assert np.abs(ray - reference).max() < 1e-12
+    reference_energy = np.array([
+        0.5 * float(np.dot(v, v)) - 0.5 * eta_sq(q) for q, v in reference
+    ])
+    assert np.abs(energies(ray, GAUSS) - reference_energy).max() < 1e-12
 
 
 def test_energy_conserved_on_gaussian_field():
@@ -110,10 +161,10 @@ def test_arc_length_reparametrization():
     # the chord-sum length (|v| stays equal to eta by energy conservation).
     q0 = np.array([-1.5, 0.0])
     direction = np.array([1.2, 0.3])
-    v0 = direction / np.linalg.norm(direction) * math.sqrt(GAUSS.eta_sq(q0))
+    v0 = direction / np.linalg.norm(direction) * math.sqrt(GAUSS.eta_sq(*q0))
     dtau = 1e-4
     positions = integrate_ray(q0, v0, GAUSS, dtau, 20_000)[:, 0]
-    etas = np.array([math.sqrt(GAUSS.eta_sq(q)) for q in positions])
+    etas = np.array([math.sqrt(GAUSS.eta_sq(x, y)) for x, y in positions.tolist()])
     ds = 0.5 * (etas[:-1] + etas[1:]) * dtau
     chord = np.linalg.norm(np.diff(positions, axis=0), axis=1).sum()
     assert abs(ds.sum() - chord) < 1e-4
@@ -124,7 +175,7 @@ def central_difference_gradient(eta_sq, q, h=1e-6):
     for i in range(q.size):
         dq = np.zeros_like(q)
         dq[i] = h
-        grad[i] = (eta_sq(q + dq) - eta_sq(q - dq)) / (2.0 * h)
+        grad[i] = (eta_sq(*(q + dq)) - eta_sq(*(q - dq))) / (2.0 * h)
     return grad
 
 
@@ -133,22 +184,39 @@ def test_finite_difference_gradient_matches_analytic():
     for _ in range(20):
         q = rng.normal(size=2)
         assert np.abs(
-            central_difference_gradient(GAUSS.eta_sq, q) - GAUSS.grad_eta_sq(q)
+            central_difference_gradient(GAUSS.eta_sq, q) - np.array(GAUSS.grad_eta_sq(*q))
         ).max() < 1e-8
 
 
 def test_field_error_context():
-    field = RefractiveField(lambda q: -1.0, np.zeros_like)
+    def flat_gradient(x, y):
+        return 0.0, 0.0
+
+    field = RefractiveField(lambda x, y: -1.0, flat_gradient)
+    with pytest.raises(FieldEvaluationError, match=r"got -1.0 at q=\(0.0, 0.5\)"):
+        field.eta_sq(0.0, 0.5)
     with pytest.raises(FieldEvaluationError):
-        field.eta_sq((0.0,))
+        ray_energy([(0.0, 0.0)], [(1.0, 0.0)], field)
+    for value in (math.inf, math.nan, 0.0):
+        with pytest.raises(FieldEvaluationError):
+            RefractiveField(lambda x, y, value=value: value, flat_gradient).eta_sq(0.0, 0.0)
+    raising = RefractiveField(lambda x, y: 1.0 / 0.0, flat_gradient)
+    with pytest.raises(FieldEvaluationError, match=r"eta\^2 failed at q=\(0.0, 0.0\)"):
+        raising.eta_sq(0.0, 0.0)
+    bad_gradient = RefractiveField(lambda x, y: 1.0, lambda x, y: 1.0 / 0.0)
     with pytest.raises(FieldEvaluationError):
-        ray_energy([(0.0,)], [(1.0,)], field)
-    raising = RefractiveField(lambda q: 1.0 / 0.0, np.zeros_like)
+        integrate_ray((0.0, 0.0), (1.0, 0.0), bad_gradient, 1e-3, 1)
+    not_a_pair = RefractiveField(lambda x, y: 1.0, lambda x, y: 0.0)
     with pytest.raises(FieldEvaluationError):
-        raising.eta_sq((0.0, 0.0))
-    bad_gradient = RefractiveField(lambda q: 1.0, lambda q: 1.0 / 0.0)
-    with pytest.raises(FieldEvaluationError):
-        integrate_ray((0.0,), (1.0,), bad_gradient, 1e-3, 1)
+        integrate_ray((0.0, 0.0), (1.0, 0.0), not_a_pair, 1e-3, 1)
+
+
+def test_rays_live_in_the_plane():
+    with pytest.raises(ValueError, match="points of the plane"):
+        integrate_ray((0.0,), (1.0,), uniform_field(), 1e-3, 1)
+    with pytest.raises(ValueError, match="points of the plane"):
+        ray_energy([(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)], uniform_field())
+    assert integrate_ray((0.0, 0.0), (1.0, 0.0), uniform_field(), 1e-3, 0).shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

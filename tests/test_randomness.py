@@ -6,7 +6,14 @@ import warnings
 import numpy as np
 from scipy import stats
 
+from spinsphere.collapse import (
+    CaptureRegion,
+    build_markov_chain,
+    run_collapse_batch,
+    run_ruin_walks,
+)
 from spinsphere.randomness import TrialStream, bits_at, derive_keys, mix64, uniforms_at
+from spinsphere.su2 import Spinor
 
 
 def splitmix64_finalizer(z: int) -> int:
@@ -127,3 +134,21 @@ def test_mix64_wraps_without_warnings():
     assert array.tolist() == inplace.tolist() == [splitmix64_finalizer(v) for v in values]
     # The first output of SplitMix64 seeded with 0.
     assert int(array[2]) == 0xE220A8397B1DCDAF
+
+
+def test_numpy_integer_seeds_equal_python_ints():
+    # A numpy integer seed, negative ones included, names the same streams
+    # as the Python int of its value (it once raised OverflowError).
+    chain = build_markov_chain(8)
+    phi, region = Spinor(0.6, 0.8), CaptureRegion(math.pi / 8, math.pi / 8, math.pi / 8)
+    for seed in (-3, -(2**63), 2**63 - 1, 0):
+        for numpy_seed in (np.int64(seed), np.array(seed)):
+            assert derive_keys(numpy_seed, np.arange(4)).tolist() == derive_keys(
+                seed, np.arange(4)).tolist()
+            walks = run_ruin_walks(chain, 4, numpy_seed, 5)
+            for got, want in zip(walks, run_ruin_walks(chain, 4, seed, 5)):
+                assert np.array_equal(got, want)
+            batch = run_collapse_batch(phi, region, numpy_seed, 20)
+            for got, want in zip(batch, run_collapse_batch(phi, region, seed, 20)):
+                assert np.array_equal(got, want)
+    assert derive_keys(np.uint64(2**64 - 1), [0]).tolist() == derive_keys(-1, [0]).tolist()
