@@ -15,8 +15,9 @@ quantities (projective speed, energy spread) are evaluated through
 eigenbasis amplitudes so no sign convention can leak in.
 
 A Bloch point is a plain ``(3,)`` float array ``(x, y, z)``.  The scalar
-functions below unpack it with ``.tolist()`` and do their arithmetic in
-Python floats: numpy's complex ``abs`` and ``pow`` round differently from
+functions below do their arithmetic in Python floats, on the point of a
+state as three floats (no array built) or on an array unpacked with
+``.tolist()``: numpy's complex ``abs`` and ``pow`` round differently from
 Python's, so a vectorized form would not reproduce the same bits.
 
 Transition probability depends only on the projective distance:
@@ -39,13 +40,15 @@ class ChartSingularityError(ValueError):
     """The inhomogeneous chart is undefined on the line through (0, 1)."""
 
 
+def _bloch_xyz(phi: Spinor) -> tuple[float, float, float]:
+    """The Bloch point of a unit state as three Python floats."""
+    cross = phi.c1 * phi.c2.conjugate()
+    return 2.0 * cross.real, -2.0 * cross.imag, abs(phi.c2) ** 2 - abs(phi.c1) ** 2
+
+
 def hopf_project(phi: Spinor) -> np.ndarray:
     """Project a unit state to its Bloch point, a (3,) array (x, y, z)."""
-    cross = phi.c1 * phi.c2.conjugate()
-    x = 2.0 * cross.real
-    y = -2.0 * cross.imag
-    z = abs(phi.c2) ** 2 - abs(phi.c1) ** 2
-    return np.array([x, y, z])
+    return np.array(_bloch_xyz(phi))
 
 
 def spinor_from_bloch(b) -> Spinor:
@@ -80,8 +83,8 @@ def fs_distance(phi: Spinor, psi: Spinor) -> float:
 
     The atan2 form of the angle stays accurate near 0 and pi.
     """
-    ax, ay, az = hopf_project(phi).tolist()
-    bx, by, bz = hopf_project(psi).tolist()
+    ax, ay, az = _bloch_xyz(phi)
+    bx, by, bz = _bloch_xyz(psi)
     cross = math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
     return math.atan2(cross, ax * bx + ay * by + az * bz)
 
@@ -128,7 +131,7 @@ def uncertainty_margin(phi: Spinor) -> float:
     Nonnegative for every unit Bloch vector; zero exactly at the z-axis
     poles and at equatorial points with x y = 0.
     """
-    x, y, z = hopf_project(phi).tolist()
+    x, y, z = _bloch_xyz(phi)
     x2, y2, z2 = x * x, y * y, z * z
     return (y2 + z2) * (x2 + z2) - z2
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import math
 import sys
 from pathlib import Path
@@ -63,6 +64,7 @@ from .lens import (
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
+from .shards import sharded
 from .su2 import Spinor, killing_inner
 
 
@@ -300,15 +302,56 @@ def run_curvature(cfg, out_dir: Path) -> dict:
     }
 
 
+# uncertainty splits its margins over the CPUs from this many states on.  A
+# margin costs about 4 us, and forking, placing and reaping two children
+# about 10 ms, so on 2 CPUs the split breaks even between 7,000 states
+# (serial/sharded 0.90-1.03) and 8,000 (1.06-1.09).
+_SHARD_MIN_STATES = 7500
+
+
+def _state_rows(rng, n):
+    """Draw n states' rows of 4 normals from rng, in blocks of at most 1,024.
+
+    Generator.normal gives the same values under any split into blocks, so
+    these are the rows of one size-4 call per state; no block holds more
+    than 1,024 states' draws.
+    """
+    for lo in range(0, n, 1024):
+        yield rng.normal(size=(min(1024, n - lo), 4))
+
+
+def _margins(rng, lo, hi):
+    """uncertainty_margin of states lo..hi of rng's stream, as a float64
+    array.  It draws from a copy of rng, replaying states 0..lo first, so
+    rng itself stays where it was."""
+    rng = copy.deepcopy(rng)
+    for _ in _state_rows(rng, lo):
+        pass
+    margins = np.empty(hi - lo)
+    i = 0
+    for rows in _state_rows(rng, hi - lo):
+        # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
+        margins[i : i + len(rows)] = [
+            uncertainty_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()
+        ]
+        i += len(rows)
+    return (margins,)
+
+
+def _min_margin(rng, n):
+    """The smallest uncertainty_margin of the next n states of rng's stream,
+    computed on every CPU from _SHARD_MIN_STATES states on; advances rng
+    past them."""
+    (margins,) = sharded(lambda lo, hi: _margins(rng, lo, hi), n, (float,), _SHARD_MIN_STATES)
+    for _ in _state_rows(rng, n):
+        pass
+    # No margin is NaN or -0.0 (a - a rounds to +0), so this is the running min.
+    return float(margins.min())
+
+
 def run_uncertainty(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
-    worst_margin = math.inf
-    # Blocks of 1,024 rows draw the stream of one size-4 call per state,
-    # without holding every state's Python floats at once.
-    for lo in range(0, cfg["states"], 1024):
-        for r in rng.normal(size=(min(1024, cfg["states"] - lo), 4)).tolist():
-            phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-            worst_margin = min(worst_margin, uncertainty_margin(phi))
+    worst_margin = _min_margin(rng, cfg["states"])
     worst_energy = 0.0
     for _ in range(1000):
         r = rng.normal(size=4)

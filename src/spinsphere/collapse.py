@@ -36,19 +36,16 @@ few live trials takes a handful of long blocks, not hundreds of short ones.
 Draws are addressed by stream position, so the block widths change no
 outcome.  The batch and single-trial paths share the kernel, so they
 produce bit-identical outcomes.  A large batch of trials or of ruin walks
-runs its kernel on contiguous slices in children forked for that batch,
-one started on each CPU the process may use, which exit before the batch
-returns and die with the process that forked them; since every trial and
-walk owns its stream, the outcomes do not depend on the split.
+runs its kernel on contiguous slices in children forked for that batch by
+`shards.sharded`, one started on each CPU the process may use, which exit
+before the batch returns and die with the process that forked them; since
+every trial and walk owns its stream, the outcomes do not depend on the
+split.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import mmap
-import os
-import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +53,7 @@ import numpy as np
 
 from .bloch import hopf_project, spinor_from_bloch
 from .randomness import TrialStream, bits_at, derive_keys
+from .shards import sharded
 from .su2 import Spinor
 
 TWO_PI = 2.0 * math.pi
@@ -332,75 +330,6 @@ def _run_trials(windows, keys, start, max_steps):
     return eigenstates, steps
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def _sharded(run_slice, n, dtypes):
-    """run_slice(0, n) on every CPU: contiguous slices, one forked child each.
-
-    run_slice(lo, hi) returns one array per entry of dtypes, holding items
-    lo..hi; an item must depend on its own index alone, so that the result
-    is bit-identical to run_slice(0, n).  Child i first moves to CPU i (mod
-    their number) of this process's affinity mask, read before the forks,
-    then allows the whole mask again: it is placed, not pinned, since a
-    kernel that never balances load would leave it on the CPU it was forked
-    on, beside its sibling.  Each child writes
-    its slice into shared mappings; this process reaps every child before
-    it returns or raises, and reruns here the slice of a child that did not
-    exit 0.
-    """
-    workers = _worker_count()
-    if workers < 2 or n < _SHARD_MIN_TRIALS:
-        return run_slice(0, n)
-    outs = [np.frombuffer(mmap.mmap(-1, n * np.dtype(d).itemsize), d) for d in dtypes]
-
-    def run(lo, hi):
-        for out, part in zip(outs, run_slice(lo, hi)):
-            out[lo:hi] = part
-
-    cpus = sorted(os.sched_getaffinity(0))
-    cuts = [n * i // workers for i in range(workers + 1)]
-    children, parent, prctl = [], os.getpid(), ctypes.CDLL(None).prctl
-    try:
-        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            # Hold signals (Ctrl-C) until the finally below knows the pid.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            try:
-                pid = os.fork()
-                if pid:
-                    children.append((pid, lo, hi))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            if pid == 0:
-                try:
-                    # Die with this process (PR_SET_PDEATHSIG), or now if it is gone.
-                    prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
-                    if os.getppid() != parent:
-                        os._exit(1)
-                    os.sched_setaffinity(0, {cpus[i % len(cpus)]})
-                    os.sched_setaffinity(0, cpus)
-                    run(lo, hi)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-        while children:
-            pid, lo, hi = children[0]
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if status:
-                run(lo, hi)
-    finally:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return outs
-
-
 def run_collapse_trial(
     phi: Spinor,
     region: CaptureRegion,
@@ -461,9 +390,9 @@ def run_collapse_batch(
     """
     windows = tuple(_source_window(phi, k, region) for k in (0, 1))
     keys = derive_keys(seed, np.arange(n_trials))
-    eigenstates, steps = _sharded(
+    eigenstates, steps = sharded(
         lambda lo, hi: _run_trials(windows, keys[lo:hi], 0, max_steps),
-        n_trials, (np.int8, np.int64))
+        n_trials, (np.int8, np.int64), _SHARD_MIN_TRIALS)
     left = int(np.count_nonzero(eigenstates < 0))
     if left:
         raise CollapseTimeoutError(
@@ -638,9 +567,9 @@ def run_ruin_walks(
     keys = np.array([derive_keys(s, walks) for s in seeds.flat], dtype=np.uint64).ravel()
     position = np.repeat(starts.ravel(), n_walks)
     thresholds = _walk_thresholds(chain)
-    absorbed, steps = _sharded(
+    absorbed, steps = sharded(
         lambda lo, hi: _run_walks(thresholds, chain.m, keys[lo:hi], position[lo:hi], max_steps),
-        keys.size, (bool, np.int64))
+        keys.size, (bool, np.int64), _SHARD_MIN_TRIALS)
     left = int(np.count_nonzero(steps < 0))
     if left:
         raise CollapseTimeoutError(f"{left} of {keys.size} walks exceeded {max_steps} steps")

@@ -20,6 +20,7 @@ against the exact propagator.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +200,7 @@ def integrate_numeric(
     g = [part for z in gen.ravel().tolist() for part in (z.real, z.imag, -z.imag)]
     half, sixth = 0.5 * dt, dt / 6.0
     state = (phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag)
-    flat = list(state)
+    flat = array("d", state)
     max_drift = 0.0
     for _ in range(n_steps):
         k1 = _gen_times(g, state)
@@ -216,7 +217,7 @@ def integrate_numeric(
         state = ((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv,
                  (br + bi * 0.0) * inv, (bi - br * 0.0) * inv)
         flat.extend(state)
-    states = np.array(flat).view(complex).reshape(n_steps + 1, 2)
+    states = np.frombuffer(flat).view(complex).reshape(n_steps + 1, 2)
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, states, p, max_drift)
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from spinsphere import collapse
+from spinsphere import collapse, shards
 from spinsphere.collapse import (
     DEFAULT_REGION,
     CaptureRegion,
@@ -250,7 +250,7 @@ _fork = os.fork
 
 
 def force_workers(monkeypatch, workers):
-    """Make run_collapse_batch see `workers` CPUs: with 1 every batch runs
+    """Make `shards.sharded` see `workers` CPUs: with 1 every batch runs
     in this process, with more a large batch forks one child per CPU.
     Returns the list of child pids forked by the calls that follow."""
     forks = []
@@ -261,7 +261,7 @@ def force_workers(monkeypatch, workers):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(collapse, "_worker_count", lambda: workers)
+    monkeypatch.setattr(shards, "_worker_count", lambda: workers)
     monkeypatch.setattr(os, "fork", fork)
     return forks
 
@@ -339,7 +339,8 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
         forks = force_workers(monkeypatch, workers)
         with pytest.raises(CollapseTimeoutError) as info:
             run_collapse_batch(phi, WIDE_BOX, 42, n, max_steps=500)
-        results.append((str(info.value), collapse._sharded(run_slice, n, (np.int8, np.int64))))
+        results.append((str(info.value), shards.sharded(run_slice, n, (np.int8, np.int64),
+                                                        collapse._SHARD_MIN_TRIALS)))
         assert len(forks) == (2 * workers if workers > 1 else 0)
         assert_reaped(forks)
     (message, (eig, steps)), (grown_message, (grown_eig, grown_steps)) = results
@@ -476,7 +477,7 @@ def test_a_sharded_batch_leaves_the_callers_affinity(monkeypatch):
 _KILLED_PARENT = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
-from spinsphere import collapse
+from spinsphere import collapse, shards
 from spinsphere.collapse import CaptureRegion, run_collapse_batch
 from spinsphere.su2 import Spinor
 fork = os.fork
@@ -486,7 +487,7 @@ def announce():
         print(pid, flush=True)
     return pid
 os.fork = announce
-collapse._worker_count = lambda: 2
+shards._worker_count = lambda: 2
 run_collapse_batch(Spinor(1.0, 0.0), CaptureRegion(1e-6, 1e-6, 1e-6), 1,
                    2 * collapse._SHARD_MIN_TRIALS)
 """
