@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import math
 import sys
 from pathlib import Path
@@ -64,7 +63,6 @@ from .lens import (
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
-from .shards import sharded
 from .su2 import Spinor, killing_inner
 
 
@@ -302,51 +300,38 @@ def run_curvature(cfg, out_dir: Path) -> dict:
     }
 
 
-# uncertainty splits its margins over the CPUs from this many states on.  A
-# margin costs about 4 us, and forking, placing and reaping two children
-# about 10 ms, so on 2 CPUs the split breaks even between 7,000 states
-# (serial/sharded 0.90-1.03) and 8,000 (1.06-1.09).
-_SHARD_MIN_STATES = 7500
+# A margin computed in numpy differs from uncertainty_margin's by a few ulps
+# of 1 (every coordinate is at most 1 in size), far less than this slack.  So
+# the smallest scalar margin of a block is among the states whose numpy
+# margin is within the slack of the block's smallest, and only those states
+# are rescored with uncertainty_margin.
+_MARGIN_SLACK = 1e-9
 
 
-def _state_rows(rng, n):
-    """Draw n states' rows of 4 normals from rng, in blocks of at most 1,024.
-
-    Generator.normal gives the same values under any split into blocks, so
-    these are the rows of one size-4 call per state; no block holds more
-    than 1,024 states' draws.
-    """
-    for lo in range(0, n, 1024):
-        yield rng.normal(size=(min(1024, n - lo), 4))
-
-
-def _margins(rng, lo, hi):
-    """uncertainty_margin of states lo..hi of rng's stream, as a float64
-    array.  It draws from a copy of rng, replaying states 0..lo first, so
-    rng itself stays where it was."""
-    rng = copy.deepcopy(rng)
-    for _ in _state_rows(rng, lo):
-        pass
-    margins = np.empty(hi - lo)
-    i = 0
-    for rows in _state_rows(rng, hi - lo):
-        # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
-        margins[i : i + len(rows)] = [
-            uncertainty_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()
-        ]
-        i += len(rows)
-    return (margins,)
+def _block_margins(rows):
+    """(y^2 + z^2)(x^2 + z^2) - z^2 of each row (a, b, c, d), the state
+    (a + bi, c + di), in numpy: close to, not bit-identical with,
+    uncertainty_margin."""
+    a, b, c, d = (rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True))).T
+    x, y, z = 2.0 * (a * c + b * d), 2.0 * (a * d - b * c), c * c + d * d - a * a - b * b
+    return (y * y + z * z) * (x * x + z * z) - z * z
 
 
 def _min_margin(rng, n):
     """The smallest uncertainty_margin of the next n states of rng's stream,
-    computed on every CPU from _SHARD_MIN_STATES states on; advances rng
-    past them."""
-    (margins,) = sharded(lambda lo, hi: _margins(rng, lo, hi), n, (float,), _SHARD_MIN_STATES)
-    for _ in _state_rows(rng, n):
-        pass
-    # No margin is NaN or -0.0 (a - a rounds to +0), so this is the running min.
-    return float(margins.min())
+    one size-4 normal draw each; advances rng past them.
+
+    Blocks of 1,024 rows draw the stream of one size-4 call per state,
+    without holding every state at once.
+    """
+    worst = math.inf
+    for lo in range(0, n, 1024):
+        rows = rng.normal(size=(min(1024, n - lo), 4))
+        m = _block_margins(rows)
+        # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
+        for c1, c2 in rows[m <= m.min() + _MARGIN_SLACK].view(complex).tolist():
+            worst = min(worst, uncertainty_margin(Spinor(c1, c2)))
+    return worst
 
 
 def run_uncertainty(cfg, out_dir: Path) -> dict:

@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from test_collapse import assert_reaped, force_workers
 
-from spinsphere import cli, shards
+from spinsphere import cli
 from spinsphere.bloch import (
     ChartSingularityError,
     energy_uncertainty,
@@ -370,66 +369,62 @@ def test_uncertainty_cli_matches_scalar_margin_bit_for_bit(tmp_path, seed):
     assert metrics["margin_at_eigenstate"] == _scalar_margin(Spinor(1.0, 0.0))
 
 
-def _scalar_uncertainty(seed, n_states):
-    """Every state's margin and the uncertainty report's metrics at the
-    default mu = 1, from one size-4 draw per state, then the energy loop's
-    draws from the same stream."""
-    rng = np.random.default_rng(seed)
-    margins = []
-    for _ in range(n_states):
-        r = rng.normal(size=4)
-        margins.append(_scalar_margin(Spinor(complex(r[0], r[1]), complex(r[2], r[3]))))
-    worst_energy = 0.0
-    for _ in range(1000):
-        r = rng.normal(size=4)
-        phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-        b = rng.normal(size=3)
-        p = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0), 1.0)
-        h, v = -p.mu * p.sigma_dot_b, phi.vector
-        variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
-        direct = math.sqrt(max(variance, 0.0))
-        worst_energy = max(worst_energy, abs(energy_uncertainty(phi, p) - direct))
-    return margins, {"min_margin": min(margins),
-                     "margin_at_eigenstate": _scalar_margin(Spinor(1.0, 0.0)),
-                     "max_energy_uncertainty_error": worst_energy}
-
-
 @pytest.mark.parametrize("seed", [0, 100, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 1023, 1025, 50_000, 60_001])
-def test_skipped_normal_rows_replay_the_stream(seed, n):
-    # A margin slice skips rows 0..lo of the stream in blocks of 1,024 and
-    # draws the rest in blocks: the rows and the generator's next draw must
-    # equal those of one call for all n rows.
-    whole = np.random.default_rng(seed)
-    rows = whole.normal(size=(n, 4)).view(np.uint64)
-    after = np.float64(whole.normal()).view(np.uint64)
-    for lo in sorted({0, 1, 1024, n // 3, n - 1} & set(range(n + 1))):
-        rng = np.random.default_rng(seed)
-        for _ in cli._state_rows(rng, lo):
-            pass
-        rest = [block.view(np.uint64) for block in cli._state_rows(rng, n - lo)]
-        assert np.array_equal(np.concatenate([rows[:0], *rest]), rows[lo:])
-        assert np.float64(rng.normal()).view(np.uint64) == after
+def test_normal_rows_in_blocks_are_one_call_per_state(seed, n):
+    # run_uncertainty draws its states in blocks of 1,024 rows: the rows, as
+    # bits, and the generator's next draw must be those of one size-4 call
+    # per state.
+    blocks = np.random.default_rng(seed)
+    rows = np.concatenate([blocks.normal(size=(min(1024, n - lo), 4))
+                           for lo in range(0, n, 1024)])
+    one_by_one = np.random.default_rng(seed)
+    expected = np.array([one_by_one.normal(size=4) for _ in range(n)])
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+    assert np.float64(blocks.normal()).view(np.uint64) == np.float64(one_by_one.normal()).view(np.uint64)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_uncertainty_margins_on_both_paths(tmp_path, workers, monkeypatch):
-    # 5,003 states is a multiple neither of the 1,024-row block nor of 3.
-    seed, n = 11, 5003
-    monkeypatch.setattr(cli, "_SHARD_MIN_STATES", 1000)
-    forks = force_workers(monkeypatch, workers)
-    assert main(["uncertainty", "--states", str(n), "--seed", str(seed),
-                 "--out", str(tmp_path)]) == 0
-    margins, expected = _scalar_uncertainty(seed, n)
-    metrics = json.loads((tmp_path / "uncertainty_report.json").read_text())["metrics"]
-    assert metrics == expected
-    # Every slice's margins, and the caller's generator after them.
+class _Rows:
+    """A generator stand-in whose normal() hands out the given rows."""
+
+    def __init__(self, rows):
+        self.rows, self.taken = rows, 0
+
+    def normal(self, size):
+        block = self.rows[self.taken : self.taken + size[0]]
+        self.taken += size[0]
+        return block
+
+
+def _states_at_noise_level(rng, n):
+    """Rows (a, b, -t b, t a): x = 2(ac + bd) = 0, so the margin x^2 y^2 is
+    0 and the computed one rounding noise of either sign, which numpy and
+    the scalar code round differently."""
+    a, b, t = rng.normal(size=(3, n))
+    return np.stack([a, b, -t * b, t * a], axis=1)
+
+
+def test_block_margins_stay_far_inside_the_slack():
+    rng = np.random.default_rng(5)
+    for rows in (rng.normal(size=(4096, 4)), _states_at_noise_level(rng, 4096)):
+        scalar = [_scalar_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()]
+        assert np.abs(cli._block_margins(rows) - scalar).max() < 1e-4 * cli._MARGIN_SLACK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_min_margin_rescores_every_near_tie(seed):
+    # 5,003 rows (not a multiple of the 1,024-row block), a third of them at
+    # the rounding-noise level where the numpy order of the margins is not
+    # the scalar order.
     rng = np.random.default_rng(seed)
-    (got,) = shards.sharded(lambda lo, hi: cli._margins(rng, lo, hi), n, (float,), 1000)
-    assert got.tolist() == margins
-    assert cli._min_margin(rng, n) == expected["min_margin"]
-    serial = np.random.default_rng(seed)
-    serial.normal(size=(n, 4))
-    assert rng.bit_generator.state == serial.bit_generator.state
-    assert len(forks) == (3 * workers if workers > 1 else 0)
-    assert_reaped(forks)
+    rows = np.concatenate([rng.normal(size=(3335, 4)), _states_at_noise_level(rng, 1668)])
+    rows = rows[rng.permutation(len(rows))]
+    margins = [_scalar_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()]
+    # Rescoring only the state of each block's smallest numpy margin misses
+    # the smallest scalar margin here.
+    numpy_margins = cli._block_margins(rows)
+    assert min(margins[lo + int(np.argmin(numpy_margins[lo : lo + 1024]))]
+               for lo in range(0, len(rows), 1024)) != min(margins)
+    stream = _Rows(rows)
+    assert cli._min_margin(stream, len(rows)) == min(margins)
+    assert stream.taken == len(rows)
