@@ -411,7 +411,7 @@ def test_block_margins_stay_far_inside_the_slack():
         assert np.abs(cli._block_margins(rows) - scalar).max() < 1e-4 * cli._MARGIN_SLACK
 
 
-@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("seed", [1, 2, 4])
 def test_min_margin_rescores_every_near_tie(seed):
     # 5,003 rows (not a multiple of the 1,024-row block), a third of them at
     # the rounding-noise level where the numpy order of the margins is not
@@ -420,11 +420,12 @@ def test_min_margin_rescores_every_near_tie(seed):
     rows = np.concatenate([rng.normal(size=(3335, 4)), _states_at_noise_level(rng, 1668)])
     rows = rows[rng.permutation(len(rows))]
     margins = [_scalar_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()]
-    # Rescoring only the state of each block's smallest numpy margin misses
-    # the smallest scalar margin here.
+    # Rescoring only the states at each block's smallest numpy margin
+    # misses the smallest scalar margin here.
     numpy_margins = cli._block_margins(rows)
-    assert min(margins[lo + int(np.argmin(numpy_margins[lo : lo + 1024]))]
-               for lo in range(0, len(rows), 1024)) != min(margins)
+    assert min(margin for lo in range(0, len(rows), 1024)
+               for margin, m in zip(margins[lo : lo + 1024], numpy_margins[lo : lo + 1024])
+               if m == numpy_margins[lo : lo + 1024].min()) != min(margins)
     stream = _Rows(rows)
     assert cli._min_margin(stream, len(rows)) == min(margins)
     assert stream.taken == len(rows)
