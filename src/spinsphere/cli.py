@@ -180,7 +180,10 @@ def _trajectory(cfg, phi0: Spinor, params: FieldParams, t_default: float):
     max(round(t_final / dt), 4) equal steps, so short runs end at t_final, not 4 dt."""
     if cfg["t_final"] is None:
         cfg["t_final"] = t_default
-    n_steps = max(round(cfg["t_final"] / cfg["dt"]), 4)
+    steps = cfg["t_final"] / cfg["dt"]
+    if not math.isfinite(steps):
+        raise ConfigError(f"t_final/dt must be finite, got {cfg['t_final']}/{cfg['dt']}")
+    n_steps = max(round(steps), 4)
     return integrate_numeric(phi0, params, cfg["t_final"] / n_steps, n_steps)
 
 
@@ -337,19 +340,21 @@ def _min_margin(rng, n):
 def run_uncertainty(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     worst_margin = _min_margin(rng, cfg["states"])
-    worst_energy = 0.0
-    for _ in range(1000):
-        r = rng.normal(size=4)
-        phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-        b = rng.normal(size=3)
-        params = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0), cfg["mu"])
-        h = -params.mu * params.sigma_dot_b
-        v = phi.vector
-        variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
-        direct = math.sqrt(max(variance, 0.0))
-        worst_energy = max(
-            worst_energy, abs(energy_uncertainty(phi, params) - direct)
-        )
+    errors = []
+    # At a large mu the direct variance overflows to inf or nan; np.max
+    # keeps a nan, so the check fails instead of skipping it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1000):
+            r = rng.normal(size=4)
+            phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
+            b = rng.normal(size=3)
+            params = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0), cfg["mu"])
+            h = -params.mu * params.sigma_dot_b
+            v = phi.vector
+            variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
+            direct = math.sqrt(max(variance, 0.0))
+            errors.append(abs(energy_uncertainty(phi, params) - direct))
+    worst_energy = float(np.max(errors))
     eigen_margin = uncertainty_margin(Spinor(1.0, 0.0))
     return {
         "metrics": {

@@ -8,12 +8,13 @@ beta) centered on its own eigenstate: theta on (-pi, pi] with density
 (-pi, pi].  When a source lands inside a small angular box around the
 measured state's coordinates, it captures the state, which collapses to
 that source's eigenstate.  For a state at polar distance theta0 from an
-eigenstate the per-step capture probability is
+eigenstate the per-step capture probability is, to first order in the box,
 
     dP = (1 / (2 pi^3)) cos^2(theta0 / 2) dV,      dV = box volume,
 
 so competition between the two sources reproduces the Born weights
-cos^2(theta0/2) : sin^2(theta0/2) in the small-box limit.
+cos^2(theta0/2) : sin^2(theta0/2) in the small-box limit; `capture_law`
+gives the exact per-tick probabilities of the engine.
 
 The same absorption statistics arise from a coarser description: a
 nearest-neighbor Markov chain on the grid theta_i = i pi / m whose
@@ -91,12 +92,6 @@ class CollapseTimeoutError(RuntimeError):
 # Source distribution
 # ---------------------------------------------------------------------------
 
-def theta_pdf(theta):
-    """Density (1/pi) cos^2(theta/2) on (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    return (1.0 + np.cos(theta)) / TWO_PI
-
-
 def theta_cdf(theta):
     """F(theta) = (theta + sin(theta) + pi) / (2 pi)."""
     theta = np.asarray(theta, dtype=float)
@@ -124,22 +119,8 @@ class CaptureRegion:
             if not 0.0 < value <= _REGION_MAX:
                 raise ValueError(f"{name} must lie in (0, pi/8], got {value}")
 
-    @property
-    def volume(self) -> float:
-        """Full-width box volume 2 d_theta * 2 d_alpha * 2 d_beta."""
-        return 8.0 * self.d_theta * self.d_alpha * self.d_beta
-
 
 DEFAULT_REGION = CaptureRegion(math.pi / 48.0, _REGION_MAX, _REGION_MAX)
-
-
-def capture_probability(theta0: float, region: CaptureRegion) -> float:
-    """Linearized capture probability (1/(2 pi^3)) cos^2(theta0/2) dV."""
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError("theta0 must lie in [0, pi]")
-    return (
-        math.cos(theta0 / 2.0) ** 2 * region.volume / (2.0 * math.pi**3)
-    )
 
 
 def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
@@ -416,23 +397,6 @@ def born_statistics(outcomes: np.ndarray, expected_p0: float) -> dict:
         "expected": expected,
         "z_scores": z_scores,
     }
-
-
-# ---------------------------------------------------------------------------
-# Delta-state metric
-# ---------------------------------------------------------------------------
-
-def delta_overlap(a, b) -> float:
-    """Inner product exp(-|a-b|^2) of two position delta states."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a - b
-    return float(np.exp(-np.dot(d, d)))
-
-
-def delta_distance_sq(a, b) -> float:
-    """Induced squared distance 2 (1 - exp(-|a-b|^2))."""
-    return 2.0 * (1.0 - delta_overlap(a, b))
 
 
 # ---------------------------------------------------------------------------

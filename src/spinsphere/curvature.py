@@ -25,11 +25,6 @@ class OrthogonalityError(ValueError):
     """Inputs were required to be orthogonal in the invariant metric."""
 
 
-def connection_coeff(x, y):
-    """Covariant derivative of left-invariant fields: (1/2)[X, Y]."""
-    return 0.5 * commutator(x, y)
-
-
 def curvature(x, y, z):
     """Curvature operator on left-invariant fields: (1/4)[[X, Y], Z]."""
     return 0.25 * commutator(commutator(x, y), z)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,18 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Homogeneous magnetic field B with moment mu, in Planck units."""
+    """Homogeneous magnetic field B with moment mu, in Planck units.
+
+    |B| (`field_norm`) and the matrix sigma . B (`sigma_dot_b`) are
+    computed once, when the instance is made; B and sigma . B are
+    read-only arrays.
+    """
 
     B: np.ndarray
     mu: float = 1.0
     hbar: float = 1.0
+    field_norm: float = field(init=False, repr=False, compare=False)
+    sigma_dot_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.B, dtype=float).reshape(3).copy()
@@ -53,19 +60,15 @@ class FieldParams:
             raise ValueError("mu must be nonzero")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
-
-    @property
-    def field_norm(self) -> float:
-        return float(np.linalg.norm(self.B))
+        sigma_b = sum(bk * s for bk, s in zip(b, PAULI))
+        sigma_b.flags.writeable = False
+        object.__setattr__(self, "field_norm", float(np.linalg.norm(b)))
+        object.__setattr__(self, "sigma_dot_b", sigma_b)
 
     @property
     def omega(self) -> float:
         """Angular frequency mu |B| / hbar."""
         return self.mu * self.field_norm / self.hbar
-
-    @property
-    def sigma_dot_b(self) -> np.ndarray:
-        return sum(bk * s for bk, s in zip(self.B, PAULI))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,7 @@ E = |v|^2/2 - eta^2(q)/2 is conserved, which is the integrator's
 primary diagnostic; `ray_energy` evaluates it along a ray.
 `design_lens` searches a family of localized Gaussian perturbations of
 eta^2 for one that bends a given ray onto a target point ("denting" the
-space so the geodesic lands where the measurement wants it);
-`hamiltonian_metric` evaluates the scale-isometric metric
-Re(h^-2 xi, eta) / |phi|^2 whose geodesics are the unitary evolution
-itself.
+space so the geodesic lands where the measurement wants it).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floats import fma
-from .su2 import BASIS_MATRICES, Spinor
 
 LENS_MISS_TOL = 1e-3  # a lens design is accepted when its ray passes this close
 LENS_DTAU = 2e-3  # leapfrog step of the lens search's rays
@@ -39,10 +35,6 @@ class FieldEvaluationError(RuntimeError):
 
 class LensSearchError(RuntimeError):
     """No perturbation in the configured family reached the target."""
-
-
-class SingularHamiltonianError(ValueError):
-    """The Hamiltonian has a zero eigenvalue; the metric is undefined."""
 
 
 class RefractiveField:
@@ -211,9 +203,13 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
         raise ValueError("phi_a and target must differ")
     flat = uniform_field()
 
-    span = float(np.linalg.norm(target - phi_a))
+    with np.errstate(over="ignore"):  # a target beyond ~1e154 is inf away
+        span = float(np.linalg.norm(target - phi_a))
     speed = max(float(np.linalg.norm(v0)), 1e-12)
-    n_steps = int(2.5 * span / (speed * LENS_DTAU)) + 10
+    steps = 2.5 * span / (speed * LENS_DTAU)
+    if not math.isfinite(steps):
+        raise ValueError(f"the target is too far for the ray: {steps:g} steps")
+    n_steps = int(steps) + 10
 
     def trace(field):
         return integrate_ray(phi_a, v0, field, LENS_DTAU, n_steps)[:, 0]
@@ -281,46 +277,3 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
         f"no (A, w) in the family reached miss < {LENS_MISS_TOL:g}; "
         f"best miss {best.miss:.3e}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian metric on the state space
-# ---------------------------------------------------------------------------
-
-def hamiltonian_metric(
-    h,
-    phi,
-    xi,
-    eta_vec,
-    hbar: float = 1.0,
-) -> float:
-    """Metric value hbar^2 Re(H^-2 xi, eta) / |phi|^2.
-
-    `h` is the su(2) element X as its coordinate array (a1, a2, a3), and
-    H = i * sum_k a_k e_k is the Hermitian Hamiltonian (for H = -mu sigma.B
-    take h = embed_r3(mu B)).  phi may be any nonzero vector of C^2 (the
-    metric lives on the punctured space, not just the sphere); xi and
-    eta_vec are tangent vectors as complex pairs.  Multiplication of phi,
-    xi, eta_vec by a common nonzero complex scalar leaves the value
-    unchanged.
-    """
-    ham = 1j * np.tensordot(h, BASIS_MATRICES, axes=1)
-    det = ham[0, 0] * ham[1, 1] - ham[0, 1] * ham[1, 0]
-    scale = np.abs(ham).max()
-    if scale == 0.0 or abs(det) <= 1e-24 * scale * scale:
-        raise SingularHamiltonianError("Hamiltonian must be invertible")
-    phi = _as_c2(phi)
-    xi = _as_c2(xi)
-    eta_vec = _as_c2(eta_vec)
-    norm_sq = float(np.vdot(phi, phi).real)
-    if norm_sq == 0.0:
-        raise ValueError("phi must be nonzero")
-    w = np.linalg.solve(ham @ ham, xi)
-    inner = np.sum(w * eta_vec.conjugate())
-    return hbar**2 * float(inner.real) / norm_sq
-
-
-def _as_c2(v) -> np.ndarray:
-    if isinstance(v, Spinor):
-        return v.vector
-    return np.asarray(v, dtype=complex).reshape(2)

@@ -1,4 +1,4 @@
-"""Two-qubit states and the EPR measurement driven by the collapse engine.
+"""The EPR measurement of a spin pair, driven by the collapse engine.
 
 A pair state lives on the unit sphere of C^2 (x) C^2, with amplitudes
 c_ij on the product basis phi_i psi_j, i, j in {+, -}.  The
@@ -28,61 +28,6 @@ from .collapse import (
 from .randomness import TrialStream
 from .su2 import Spinor
 
-_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Normalized amplitudes (c_pp, c_pm, c_mp, c_mm) of a spin pair."""
-
-    c_pp: complex
-    c_pm: complex
-    c_mp: complex
-    c_mm: complex
-
-    def __post_init__(self):
-        amps = np.array(
-            [self.c_pp, self.c_pm, self.c_mp, self.c_mm], dtype=complex
-        )
-        n = float(np.linalg.norm(amps))
-        if n == 0.0 or not np.isfinite(n):
-            raise ValueError("cannot normalize a zero pair state")
-        amps = amps / n
-        for name, value in zip(("c_pp", "c_pm", "c_mp", "c_mm"), amps):
-            object.__setattr__(self, name, complex(value))
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array(
-            [self.c_pp, self.c_pm, self.c_mp, self.c_mm], dtype=complex
-        )
-
-    @property
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.c_pp, self.c_pm], [self.c_mp, self.c_mm]], dtype=complex
-        )
-
-
-def tensor_state(phi: Spinor, psi: Spinor) -> PairState:
-    """Product state with c_ij = phi_i psi_j (never entangled)."""
-    return PairState(
-        phi.c1 * psi.c1,
-        phi.c1 * psi.c2,
-        phi.c2 * psi.c1,
-        phi.c2 * psi.c2,
-    )
-
-
-def is_entangled(s: PairState, tol: float = 1e-12) -> bool:
-    """True iff the coefficient matrix has nonzero determinant.
-
-    The determinant c_pp c_mm - c_pm c_mp vanishes exactly on product
-    states, so its magnitude against `tol` detects entanglement.
-    """
-    m = s.coefficient_matrix
-    return bool(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > tol)
-
 
 @dataclass(frozen=True)
 class SingletSectorState:
@@ -98,21 +43,10 @@ class SingletSectorState:
         object.__setattr__(self, "a", complex(self.a) / n)
         object.__setattr__(self, "b", complex(self.b) / n)
 
-    @classmethod
-    def identical_particles(cls, a: complex, b: complex) -> "SingletSectorState":
-        """Constructor for identical particles; requires b = -a."""
-        state = cls(a, b)
-        if abs(state.a + state.b) > _NORM_TOL:
-            raise ValueError("identical particles require b = -a")
-        return state
-
     @property
     def effective_spinor(self) -> Spinor:
         """The sector as a two-level state on the basis (phi+ psi-, phi- psi+)."""
         return Spinor(self.a, self.b)
-
-    def to_pair_state(self) -> PairState:
-        return PairState(0.0, self.a, self.b, 0.0)
 
 
 @dataclass(frozen=True)

@@ -75,21 +75,17 @@ def uniforms_at(keys: np.ndarray, draw_indices) -> np.ndarray:
 
 
 class TrialStream:
-    """Sequential view of one trial's stream; used by `run_collapse_trial`
-    and the test oracle.
+    """Sequential view of one trial's stream; used by `run_collapse_trial`.
 
-    Consuming n values advances an internal draw counter, so a TrialStream
-    and the batched `uniforms_at` addressing produce identical numbers.
+    `key` is the stream's key and `position` the index of its next draw;
+    a trial reads its draws at those absolute positions (`bits_at`) and
+    then skips past them, so consecutive trials on one TrialStream read
+    the same numbers as the batched addressing.
     """
 
     def __init__(self, seed: int, trial_index: int = 0):
         self.key = derive_keys(seed, [trial_index])[0]
         self.position = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        out = uniforms_at(self.key, self.position + np.arange(n))
-        self.position += n
-        return out
 
     def skip(self, n: int) -> None:
         self.position += n

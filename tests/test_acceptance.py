@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from spinsphere.bloch import (
-    energy_uncertainty,
-    fs_distance,
-    hopf_project,
-    transition_probability,
-    uncertainty_margin,
-)
+from spinsphere.bloch import energy_uncertainty, hopf_project, uncertainty_margin
 from spinsphere.cli import main as cli_main
 from spinsphere.collapse import (
     DEFAULT_REGION,
@@ -39,13 +33,12 @@ from spinsphere.evolution import (
 from spinsphere.lens import (
     design_lens,
     gaussian_bump_field,
-    hamiltonian_metric,
     integrate_ray,
     ray_energy,
     uniform_field,
 )
 from spinsphere.pairs import SingletSectorState, run_epr_batch
-from spinsphere.su2 import Spinor, embed_r3, killing_inner
+from spinsphere.su2 import Spinor, killing_inner
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -73,6 +66,29 @@ def random_spinor(rng) -> Spinor:
 
 def weighted_state(c1_sq: float) -> Spinor:
     return Spinor(math.sqrt(c1_sq), math.sqrt(1.0 - c1_sq))
+
+
+# Oracles of the two paper results no CLI report shows; test_bloch.py and
+# test_lens.py import them from here.
+
+def fs_distance(phi: Spinor, psi: Spinor) -> float:
+    """Angle in [0, pi] between the Bloch points, in the atan2 form that
+    stays accurate near 0 and pi."""
+    a, b = hopf_project(phi), hopf_project(psi)
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
+
+
+def transition_probability(phi: Spinor, psi: Spinor) -> float:
+    """|<psi, phi>|^2."""
+    return abs(phi.inner(psi)) ** 2
+
+
+def hamiltonian_metric(ham, phi, xi, eta, hbar: float = 1.0) -> float:
+    """The metric hbar^2 Re(H^-2 xi, eta) / |phi|^2 of a Hamiltonian matrix H
+    at a nonzero phi in C^2, for tangent vectors xi and eta; its geodesics
+    are the unitary evolution itself."""
+    w = np.linalg.solve(ham @ ham, xi)
+    return hbar**2 * float(np.sum(w * np.conjugate(eta)).real) / float(np.vdot(phi, phi).real)
 
 
 def test_criterion_1_sectional_curvature():
@@ -220,7 +236,7 @@ def test_criterion_8_ray_integrator_and_lens():
 def test_criterion_9_scale_isometry():
     crit = Criterion(9, "scale isometry of the state metric", 1.0)
     rng = np.random.default_rng(1009)
-    h = embed_r3((0.6, -0.2, 1.1))
+    ham = -FieldParams((0.6, -0.2, 1.1)).sigma_dot_b
     worst = 0.0
     for _ in range(1000):
         r = rng.normal(size=12)
@@ -233,8 +249,8 @@ def test_criterion_9_scale_isometry():
         worst = max(
             worst,
             abs(
-                hamiltonian_metric(h, lam * phi, lam * xi, lam * eta)
-                - hamiltonian_metric(h, phi, xi, eta)
+                hamiltonian_metric(ham, lam * phi, lam * xi, lam * eta)
+                - hamiltonian_metric(ham, phi, xi, eta)
             ),
         )
     assert worst < 1e-12

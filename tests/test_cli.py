@@ -1,5 +1,6 @@
 """CLI harness tests: exit codes, reproducibility, config precedence."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -89,6 +90,12 @@ def test_invalid_value_exits_2(tmp_path):
         (["lens", "--span", "-0.5", "--displacement", "0"], None),
         (["lens"], "span=0\n"),
         (["evolve", "--mu", "-1000"], None),
+        (["evolve", "--t-final", "1e308"], None),
+        (["bloch", "--t-final", "1e308"], None),
+        (["e2-split", "--t-final", "1e308"], None),
+        (["e2-split", "--b0", "1e-320"], None),
+        (["lens", "--span", "1e308"], None),
+        (["lens", "--displacement", "1e308"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -97,7 +104,9 @@ def test_invalid_value_exits_2(tmp_path):
          "bloch-bx-nan", "config-t-final-inf", "config-span-inf",
          "config-displacement-neg-inf", "config-hbar-inf", "config-mu-inf",
          "config-bx-nan", "lens-span-negative", "config-span-zero",
-         "evolve-mu-negative-step-guard"],
+         "evolve-mu-negative-step-guard", "evolve-t-final-overflow",
+         "bloch-t-final-overflow", "e2-split-t-final-overflow", "e2-split-b0-overflow",
+         "lens-span-overflow", "lens-displacement-overflow"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -371,3 +380,115 @@ def test_markov_walk_frequencies_pinned(tmp_path):
     column = [line.split(",")[2] for line in lines[1:]]
     assert [cell for cell in column if cell] == [repr(f) for f in expected]
     assert [i for i, cell in enumerate(column) if cell] == [10, 20, 30, 40, 50]
+
+
+# ---------------------------------------------------------------------------
+# Library surface
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spinsphere"
+BENCH = SRC.parents[1] / "bench"
+
+
+def _package_imports(tree):
+    """{local name: (module, name)} and {local alias: module} of the
+    spinsphere imports of a module."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("spinsphere")):
+            source = (node.module or "").removeprefix("spinsphere").lstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source:
+                    names[local] = (source, alias.name)
+                else:
+                    modules[local] = alias.name
+    return names, modules
+
+
+def _split_class(cls):
+    """The members of a class looked up by name (methods and class
+    attributes, not dunders), and the rest of its body."""
+    members, rest = {}, [*cls.decorator_list, *cls.bases]
+    for node in cls.body:
+        name = (node.name if isinstance(node, ast.FunctionDef) else
+                node.targets[0].id if isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name) else "__")
+        if name.startswith("__"):
+            rest.append(node)
+        else:
+            members[name] = node
+    return members, rest
+
+
+def unreachable_definitions():
+    """(module, name) of each top-level definition and class member
+    ("Class.member") of the package that neither the CLI entry point
+    cli.main nor bench/*.py reaches.
+
+    Code uses a bare name of its module or of its imports, an attribute of
+    a module alias or a "module.name" string (bench/tracing.py wraps the
+    functions it names so), and, for any other attribute name, every class
+    member of that name; a member is reached once its class is too.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    body = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members, body[(module, node.name)] = _split_class(node)
+                for name, member in members.items():
+                    body[(module, f"{node.name}.{name}")] = [member]
+            elif isinstance(node, ast.FunctionDef):
+                body[(module, node.name)] = [node]
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            body[(module, name.id)] = [node.value]
+    members = {}
+    for module, name in body:
+        if "." in name:
+            members.setdefault(name.split(".")[1], set()).add((module, name))
+
+    def uses(nodes, module, imports):
+        names, modules = imports
+        found = set()
+        for node in (sub for top in nodes for sub in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                found.add((module, node.id) if (module, node.id) in body
+                          else names.get(node.id))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    found.add((modules[node.value.id], node.attr))
+                found |= members.get(node.attr, set())
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.count(".") == 1:
+                found.add(tuple(node.value.split(".")))
+        return found & body.keys()
+
+    imports = {module: _package_imports(tree) for module, tree in trees.items()}
+    edges = {key: uses(nodes, key[0], imports[key[0]]) for key, nodes in body.items()}
+    todo = [("cli", "main")]
+    for path in BENCH.glob("*.py"):
+        names, modules = _package_imports(tree := ast.parse(path.read_text()))
+        # tracing.py imports every module as spinsphere.<module>.
+        todo += uses([tree], None, (names, {**{m: m for m in trees}, **modules}))
+    reached, waiting = set(), set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        if "." in key[1] and (key[0], key[1].split(".")[0]) not in reached:
+            waiting.add(key)
+            continue
+        reached.add(key)
+        todo += edges[key]
+        todo += [m for m in waiting - reached if (m[0], m[1].split(".")[0]) == key]
+    return sorted(body.keys() - reached)
+
+
+def test_every_library_definition_is_reachable_from_the_cli_or_bench():
+    # A name that only tests call belongs in the test that uses it.
+    assert unreachable_definitions() == []

@@ -5,7 +5,8 @@ Analytic oracles:
     quadrature of the density, since the capture kernel's theta ranges
     are built on it;
   * E[cos theta] = 1/2 from the same integral;
-  * capture ratios cos^2 / sin^2 against the two-sided probability law;
+  * capture ratios against the theta box masses of the exact capture
+    law, which tend to cos^2 / sin^2 as the box shrinks;
   * the finite-box law 1/2 + (1/2)(sin d/d) cos theta0 of a wide box.
 Statistical assertions run at 3 sigma with frozen seeds (the engine is
 bit-reproducible, so these are fixed test vectors, not flaky checks).
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from test_randomness import stream_uniforms
 
 from spinsphere import collapse, shards
 from spinsphere.collapse import (
@@ -31,15 +33,12 @@ from spinsphere.collapse import (
     CollapseTimeoutError,
     born_statistics,
     build_markov_chain,
-    capture_probability,
-    delta_distance_sq,
-    delta_overlap,
+    capture_law,
     run_collapse_batch,
     run_collapse_trial,
     run_ruin_walks,
     source_frame_coords,
     theta_cdf,
-    theta_pdf,
 )
 from spinsphere.collapse import (
     _circle_bit_range,
@@ -56,6 +55,11 @@ N_BIG = 100_000
 
 def state_with_weight(c1_sq: float) -> Spinor:
     return Spinor(math.sqrt(c1_sq), math.sqrt(1.0 - c1_sq))
+
+
+def theta_pdf(theta):
+    """The sources' theta density (1/pi) cos^2(theta/2) on (-pi, pi]."""
+    return (1.0 + math.cos(theta)) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +151,43 @@ def test_capture_region_guard():
         CaptureRegion(0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         CaptureRegion(0.1, math.pi / 4, 0.1)
-    assert CaptureRegion(0.1, 0.2, 0.3).volume == pytest.approx(8 * 0.1 * 0.2 * 0.3)
+
+
+def theta_box_mass(theta0, d):
+    """Mass (d + cos(theta0) sin(d)) / pi of the theta density on the box
+    [theta0 - d, theta0 + d]; to first order in d, (2 d / pi) cos^2(theta0/2)."""
+    return (d + math.cos(theta0) * math.sin(d)) / math.pi
 
 
 def test_capture_probability_values():
+    # Source 0 at polar distance theta0 = 2 acos(|c1|) from the state.  Its
+    # alpha and beta ranges do not depend on the state, so its capture
+    # probabilities relate as the theta box masses; at theta0 = pi only
+    # the O(d^3) term is left.
     region = CaptureRegion(0.1, 0.1, 0.1)
-    assert capture_probability(math.pi, region) == pytest.approx(0.0, abs=1e-16)
-    ratio = capture_probability(0.0, region) / capture_probability(
-        math.pi / 2, region
-    )
-    assert ratio == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        capture_probability(-0.1, region)
+    d = region.d_theta
+    far, _ = capture_law(state_with_weight(0.0), region)
+    near, _ = capture_law(state_with_weight(1.0), region)
+    mid, _ = capture_law(state_with_weight(0.5), region)
+    mass = theta_box_mass(math.pi, d), theta_box_mass(0.0, d), theta_box_mass(math.pi / 2, d)
+    assert float(far / near) == pytest.approx(mass[0] / mass[1], rel=1e-9)
+    assert float(far / near) < d**2
+    assert float(near / mid) == pytest.approx(mass[1] / mass[2], rel=1e-9)
+    assert float(near / mid) == pytest.approx(2.0, abs=d**2)
 
 
 def test_capture_ratio_is_born_ratio():
-    # dP1/dP2 for a state at theta0 from one source and pi - theta0 from
-    # the other equals |c1|^2/|c2|^2, independent of the region volume.
+    # p0/p1 for a state at theta0 from one source and pi - theta0 from the
+    # other is the ratio of the theta box masses, which tends to
+    # |c1|^2/|c2|^2 as the box shrinks, whatever its alpha and beta widths.
     for c1_sq in (0.2, 0.5, 0.85):
         theta0 = 2.0 * math.acos(math.sqrt(c1_sq))
         for region in (CaptureRegion(0.05, 0.1, 0.2), CaptureRegion(0.3, 0.3, 0.3)):
-            ratio = capture_probability(theta0, region) / capture_probability(
-                math.pi - theta0, region
-            )
-            assert ratio == pytest.approx(c1_sq / (1 - c1_sq), rel=1e-12)
+            p0, p1 = capture_law(state_with_weight(c1_sq), region)
+            d = region.d_theta
+            exact = theta_box_mass(theta0, d) / theta_box_mass(math.pi - theta0, d)
+            assert float(p0 / p1) == pytest.approx(exact, rel=1e-9)
+            assert float(p0 / p1) == pytest.approx(c1_sq / (1 - c1_sq), rel=d**2)
 
 
 def test_source_frame_coords_of_eigenstates():
@@ -570,7 +587,7 @@ def _capture_from_uniforms(u6, windows):
 def oracle_trial(windows, rng, max_steps):
     """(eigenstate, steps) of one trial, one step at a time; None on timeout."""
     for step in range(max_steps):
-        captured, fractions = _capture_from_uniforms(rng.uniforms(6), windows)
+        captured, fractions = _capture_from_uniforms(stream_uniforms(rng, 6), windows)
         if captured[0] and captured[1]:
             return (0 if fractions[0] <= fractions[1] else 1), step + 1
         if captured[0] or captured[1]:
@@ -852,6 +869,17 @@ def test_collapse_outcome_validation():
 # ---------------------------------------------------------------------------
 # Delta-state metric
 # ---------------------------------------------------------------------------
+
+def delta_overlap(a, b) -> float:
+    """Inner product exp(-|a - b|^2) of two position delta states."""
+    d = np.subtract(a, b, dtype=float)
+    return float(np.exp(-np.dot(d, d)))
+
+
+def delta_distance_sq(a, b) -> float:
+    """Induced squared distance 2 (1 - exp(-|a - b|^2))."""
+    return 2.0 * (1.0 - delta_overlap(a, b))
+
 
 def test_delta_overlap_values():
     assert delta_overlap((1, 2, 3), (1, 2, 3)) == 1.0

@@ -19,7 +19,6 @@ from spinsphere.curvature import (
     DegeneratePlaneError,
     OrthogonalityError,
     commutator_curvature_identity,
-    connection_coeff,
     curvature,
     sectional_curvature,
 )
@@ -37,6 +36,11 @@ def random_elements(rng, *shape, scale=2.0):
 
 def assert_close(a, b, tol):
     assert np.abs(a - b).max() <= tol
+
+
+def connection_coeff(x, y):
+    """Covariant derivative of left-invariant fields: (1/2)[X, Y]."""
+    return 0.5 * commutator(x, y)
 
 
 # ---------------------------------------------------------------------------

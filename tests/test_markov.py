@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 from test_collapse import BOTH_PATHS, assert_reaped, force_workers
+from test_randomness import stream_uniforms
 
 from spinsphere import collapse
 from spinsphere.collapse import (
@@ -189,7 +190,7 @@ def oracle_walks(chain, start, seed, n_walks):
     for w in range(n_walks):
         stream, position, t = TrialStream(seed, w), start, 0
         while 0 < position < chain.m:
-            position += -1 if stream.uniforms(1)[0] < p[position - 1] else 1
+            position += -1 if stream_uniforms(stream, 1)[0] < p[position - 1] else 1
             t += 1
         absorbed.append(position == 0)
         steps.append(t)

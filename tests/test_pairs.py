@@ -7,13 +7,10 @@ import pytest
 
 from spinsphere.collapse import CaptureRegion, DEFAULT_REGION
 from spinsphere.pairs import (
-    PairState,
     SingletSectorState,
     epr_statistics,
-    is_entangled,
     measure_first_z,
     run_epr_batch,
-    tensor_state,
 )
 from spinsphere.randomness import TrialStream
 from spinsphere.su2 import Spinor
@@ -21,17 +18,34 @@ from spinsphere.su2 import Spinor
 RT2 = 1.0 / math.sqrt(2.0)
 
 
+def tensor_state(phi, psi):
+    """Amplitudes c_ij = phi_i psi_j of a product state, as the 2x2
+    coefficient matrix [[c_pp, c_pm], [c_mp, c_mm]]."""
+    return np.outer(phi.vector, psi.vector)
+
+
+def sector_pair_state(s):
+    """Coefficient matrix of the sector state a phi+ psi- + b phi- psi+."""
+    return np.array([[0.0, s.a], [s.b, 0.0]])
+
+
+def is_entangled(m, tol=1e-12):
+    """True iff the coefficient matrix has a nonzero determinant; it
+    vanishes exactly on product states."""
+    return bool(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > tol)
+
+
 def test_tensor_basis_case():
     s = tensor_state(Spinor(1, 0), Spinor(0, 1))
-    assert s.c_pm == pytest.approx(1.0)
-    assert abs(s.c_pp) + abs(s.c_mp) + abs(s.c_mm) < 1e-15
+    assert s[0, 1] == pytest.approx(1.0)
+    assert abs(s[0, 0]) + abs(s[1, 0]) + abs(s[1, 1]) < 1e-15
 
 
 def test_tensor_superposition_case():
     s = tensor_state(Spinor(RT2, RT2), Spinor(1, 0))
-    assert s.c_pp == pytest.approx(RT2)
-    assert s.c_mp == pytest.approx(RT2)
-    assert abs(s.c_pm) + abs(s.c_mm) < 1e-15
+    assert s[0, 0] == pytest.approx(RT2)
+    assert s[1, 0] == pytest.approx(RT2)
+    assert abs(s[0, 1]) + abs(s[1, 1]) < 1e-15
 
 
 def test_tensor_output_normalized():
@@ -41,14 +55,7 @@ def test_tensor_output_normalized():
         phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
         psi = Spinor(complex(r[4], r[5]), complex(r[6], r[7]))
         s = tensor_state(phi, psi)
-        assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pair_state_normalizes_and_rejects_zero():
-    s = PairState(2.0, 0.0, 0.0, 0.0)
-    assert s.c_pp == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        PairState(0.0, 0.0, 0.0, 0.0)
+        assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_products_are_not_entangled():
@@ -61,25 +68,19 @@ def test_products_are_not_entangled():
 
 
 def test_singlet_is_entangled_with_half_determinant():
-    singlet = SingletSectorState(RT2, -RT2).to_pair_state()
-    m = singlet.coefficient_matrix
+    # The constructor normalizes (1, -1) to the singlet; it rejects zero.
+    singlet = SingletSectorState(1.0, -1.0)
+    assert (singlet.a, singlet.b) == (pytest.approx(RT2), pytest.approx(-RT2))
+    with pytest.raises(ValueError):
+        SingletSectorState(0.0, 0.0)
+    m = sector_pair_state(singlet)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     assert abs(det) == pytest.approx(0.5, abs=1e-12)
-    assert is_entangled(singlet)
+    assert is_entangled(m)
 
 
 def test_classical_sector_point_not_entangled():
-    assert not is_entangled(SingletSectorState(1.0, 0.0).to_pair_state())
-
-
-def test_identical_particles_constructor():
-    s = SingletSectorState.identical_particles(1.0, -1.0)
-    assert s.a == pytest.approx(RT2)
-    assert s.b == pytest.approx(-RT2)
-    with pytest.raises(ValueError):
-        SingletSectorState.identical_particles(1.0, 1.0)
-    with pytest.raises(ValueError):
-        SingletSectorState(0.0, 0.0)
+    assert not is_entangled(sector_pair_state(SingletSectorState(1.0, 0.0)))
 
 
 def test_classical_state_measures_deterministically():

@@ -23,16 +23,24 @@ def splitmix64_finalizer(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def stream_uniforms(stream: TrialStream, n: int) -> np.ndarray:
+    """The next n uniform draws of a stream, read by position with
+    uniforms_at; the stream skips past them."""
+    out = uniforms_at(stream.key, stream.position + np.arange(n))
+    stream.skip(n)
+    return out
+
+
 def test_streams_are_deterministic():
-    a = TrialStream(123, 5).uniforms(64)
-    b = TrialStream(123, 5).uniforms(64)
+    a = stream_uniforms(TrialStream(123, 5), 64)
+    b = stream_uniforms(TrialStream(123, 5), 64)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_across_trials_and_seeds():
-    a = TrialStream(123, 5).uniforms(64)
-    b = TrialStream(123, 6).uniforms(64)
-    c = TrialStream(124, 5).uniforms(64)
+    a = stream_uniforms(TrialStream(123, 5), 64)
+    b = stream_uniforms(TrialStream(123, 6), 64)
+    c = stream_uniforms(TrialStream(124, 5), 64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -41,16 +49,16 @@ def test_stream_matches_batch_addressing():
     keys = derive_keys(99, np.arange(10))
     for i in (0, 3, 9):
         stream = TrialStream(99, i)
-        assert np.array_equal(stream.uniforms(20), uniforms_at(keys[i], np.arange(20)))
+        assert np.array_equal(stream_uniforms(stream, 20), uniforms_at(keys[i], np.arange(20)))
 
 
 def test_stream_position_advances():
     s = TrialStream(1, 0)
-    first = s.uniforms(3)
-    second = s.uniforms(3)
+    first = stream_uniforms(s, 3)
+    second = stream_uniforms(s, 3)
     assert not np.array_equal(first, second)
     assert np.array_equal(
-        np.concatenate([first, second]), TrialStream(1, 0).uniforms(6)
+        np.concatenate([first, second]), stream_uniforms(TrialStream(1, 0), 6)
     )
 
 
@@ -60,34 +68,34 @@ def test_keys_unique_at_scale():
 
 
 def test_unit_interval():
-    u = TrialStream(7, 0).uniforms(100_000)
+    u = stream_uniforms(TrialStream(7, 0), 100_000)
     assert u.min() >= 0.0
     assert u.max() < 1.0
 
 
 def test_uniformity_ks():
-    u = TrialStream(2024, 0).uniforms(100_000)
+    u = stream_uniforms(TrialStream(2024, 0), 100_000)
     statistic = stats.kstest(u, "uniform").statistic
     assert statistic < 1.9495 / math.sqrt(len(u))
 
 
 def test_lag1_autocorrelation_small():
-    u = TrialStream(11, 0).uniforms(100_000)
+    u = stream_uniforms(TrialStream(11, 0), 100_000)
     x = u - u.mean()
     r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert abs(r1) < 3.0 / math.sqrt(len(u))
 
 
 def test_cross_stream_correlation_small():
-    a = TrialStream(11, 0).uniforms(100_000)
-    b = TrialStream(11, 1).uniforms(100_000)
+    a = stream_uniforms(TrialStream(11, 0), 100_000)
+    b = stream_uniforms(TrialStream(11, 1), 100_000)
     xa, xb = a - a.mean(), b - b.mean()
     r = float(np.dot(xa, xb) / math.sqrt(np.dot(xa, xa) * np.dot(xb, xb)))
     assert abs(r) < 3.0 / math.sqrt(len(a))
 
 
 def test_chi_square_uniform_bins():
-    u = TrialStream(31337, 4).uniforms(100_000)
+    u = stream_uniforms(TrialStream(31337, 4), 100_000)
     counts, _ = np.histogram(u, bins=64, range=(0.0, 1.0))
     p = stats.chisquare(counts).pvalue
     assert p > 0.001

@@ -10,22 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinsphere.su2 import (
-    BASIS_MATRICES,
-    PAULI,
-    MatRepStructureError,
-    MatRep,
-    Spinor,
-    commutator,
-    embed_r3,
-    killing_inner,
-    killing_norm,
-    omega,
-    omega_inverse,
-    pauli_product,
-)
+from spinsphere.su2 import PAULI, Spinor, commutator, killing_inner, killing_norm
 
 E1, E2, E3 = np.eye(3)
+
+# Generators e_k = (i/2) sigma_k, shape (3, 2, 2).
+BASIS_MATRICES = np.stack([0.5j * s for s in PAULI])
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -50,6 +40,23 @@ def matrix(x):
     return np.tensordot(x, BASIS_MATRICES, axes=1)
 
 
+def omega(s):
+    """Matrix realization [[c1, c2], [-conj(c2), conj(c1)]] of a state."""
+    return np.array([[s.c1, s.c2], [-s.c2.conjugate(), s.c1.conjugate()]])
+
+
+def pauli_product(a, b):
+    """Scalar and vector part of (sigma.a)(sigma.b) = a.b + i sigma.(a x b):
+    four times the invariant product and the bracket of a and b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return 4.0 * killing_inner(a, b), commutator(a, b)
+
+
+def embed_r3(x):
+    """The isometric embedding x -> sum_k 2 x^k e_k of R^3 into su(2)."""
+    return 2.0 * np.asarray(x, dtype=float)
+
+
 def from_matrix(m, tol=1e-12):
     """Independent oracle: coordinates of an anti-Hermitian traceless 2x2
     matrix, read off as m = sum a_k (i/2) sigma_k => Tr(m sigma_k) = i a_k."""
@@ -60,7 +67,7 @@ def from_matrix(m, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Spinor / MatRep
+# Spinor and its matrix realization
 # ---------------------------------------------------------------------------
 
 def test_spinor_constructor_normalizes():
@@ -76,19 +83,19 @@ def test_spinor_zero_rejected():
 
 
 def test_omega_identity_case():
-    m = omega(Spinor(1.0, 0.0)).entries
+    m = omega(Spinor(1.0, 0.0))
     assert np.allclose(m, np.eye(2), atol=1e-15)
 
 
 def test_omega_second_basis_case():
-    m = omega(Spinor(0.0, 1.0)).entries
+    m = omega(Spinor(0.0, 1.0))
     assert np.allclose(m, np.array([[0, 1], [-1, 0]]), atol=1e-15)
 
 
 def test_omega_hand_case():
     # (1/sqrt2, i/sqrt2): bottom row (-conj(i/sqrt2), conj(1/sqrt2))
     #                     = (i/sqrt2, 1/sqrt2).
-    m = omega(Spinor(RT2, RT2 * 1j)).entries
+    m = omega(Spinor(RT2, RT2 * 1j))
     expected = np.array([[RT2, RT2 * 1j], [RT2 * 1j, RT2]])
     assert np.allclose(m, expected, atol=1e-15)
 
@@ -96,7 +103,7 @@ def test_omega_hand_case():
 def test_omega_round_trip_many():
     rng = np.random.default_rng(7)
     for s in random_spinors(rng, 10_000):
-        back = omega_inverse(omega(s))
+        back = Spinor(*omega(s)[0])
         assert abs(back.c1 - s.c1) < 1e-14
         assert abs(back.c2 - s.c2) < 1e-14
 
@@ -104,12 +111,7 @@ def test_omega_round_trip_many():
 def test_omega_determinant_is_norm():
     rng = np.random.default_rng(8)
     for s in random_spinors(rng, 200):
-        assert abs(omega(s).determinant - 1.0) < 1e-12
-
-
-def test_matrep_structure_enforced():
-    with pytest.raises(MatRepStructureError):
-        MatRep(np.array([[1.0, 0.0], [0.5, 1.0]], dtype=complex))
+        assert abs(np.linalg.det(omega(s)) - 1.0) < 1e-12
 
 
 @given(
