@@ -265,6 +265,8 @@ def test_lens_search_golden(target, amplitude, width, center, miss):
     [
         ("1.0", "0.1", "3b6d7f51c42b5c0d56b91491cead6501aa19b23b34dbcff0b1badadbd5d9f350"),
         ("1.5", "0.2", "f9e982b15c448374a07e44eaaeff75fa9b32d061b8abe59ce1cbed74f8bd1067"),
+        # The target on the flat ray: the search returns before any bump.
+        ("1", "0", "b071c6e761d7d96153797be488218eedfdf43a3b5753063d2f9df05d641424b3"),
     ],
 )
 def test_lens_csv_golden(tmp_path, span, displacement, digest):
