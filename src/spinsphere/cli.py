@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bloch import energy_uncertainty, hopf_project, uncertainty_margin
+from .bloch import _bloch_xyz, energy_uncertainty, hopf_project, uncertainty_margin
 from .collapse import (
     CaptureRegion,
     CollapseTimeoutError,
@@ -58,7 +58,6 @@ from .lens import (
     LENS_MISS_TOL,
     LensSearchError,
     design_lens,
-    integrate_ray,
     ray_energy,
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
@@ -199,14 +198,9 @@ def _finish(report: dict, out_dir: Path, experiment: str) -> int:
 
 
 def _trajectory_rows(traj):
-    for t, state in zip(traj.times, traj.states):
-        yield (
-            float(t),
-            float(state[0].real),
-            float(state[0].imag),
-            float(state[1].real),
-            float(state[1].imag),
-        )
+    """(t, re c1, im c1, re c2, im c2) rows as float lists, one at a time."""
+    for row in np.column_stack([traj.times, traj.states.view(float)]):
+        yield row.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +244,15 @@ def run_bloch(cfg, out_dir: Path) -> dict:
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
-    points = [hopf_project(traj.spinor(i)) for i in range(len(traj))]
-    norm_dev = float(max(abs(np.linalg.norm(p) - 1.0) for p in points))
+    points = np.fromiter(
+        (_bloch_xyz(traj.spinor(i)) for i in range(len(traj))), (float, 3), len(traj))
+    norm_dev = float(np.abs(np.sqrt(np.vecdot(points, points)) - 1.0).max())
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
     phase_dev = float(np.abs(hopf_project(shifted) - hopf_project(phi0)).max())
     write_csv(
         out_dir / "bloch_0.csv",
         ["t", "x", "y", "z"],
-        (
-            (float(t), float(p[0]), float(p[1]), float(p[2]))
-            for t, p in zip(traj.times, points)
-        ),
+        (row.tolist() for row in np.column_stack([traj.times, points])),
     )
     return {
         "metrics": {"norm_deviation": norm_dev, "phase_invariance": phase_dev},
@@ -341,8 +333,9 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     worst_margin = _min_margin(rng, cfg["states"])
     errors = []
-    # At a large mu the direct variance overflows to inf or nan; np.max
-    # keeps a nan, so the check fails instead of skipping it.
+    # Each error is in units of max(1, |mu|), the scale of its rounding.  At
+    # a large mu the direct variance overflows to inf or nan; np.max keeps a
+    # nan, so the check fails instead of skipping it.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1000):
             r = rng.normal(size=4)
@@ -353,7 +346,7 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
             v = phi.vector
             variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
             direct = math.sqrt(max(variance, 0.0))
-            errors.append(abs(energy_uncertainty(phi, params) - direct))
+            errors.append(abs(energy_uncertainty(phi, params) - direct) / max(1.0, abs(cfg["mu"])))
     worst_energy = float(np.max(errors))
     eigen_margin = uncertainty_margin(Spinor(1.0, 0.0))
     return {
@@ -382,10 +375,7 @@ def run_born(cfg, out_dir: Path) -> dict:
         write_csv(
             out_dir / "born_0.csv",
             ["trial", "eigenstate", "steps"],
-            (
-                (i, int(outcomes[i]), int(steps[i]))
-                for i in range(len(outcomes))
-            ),
+            zip(range(len(outcomes)), map(int, outcomes), map(int, steps)),
         )
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
     return {
@@ -435,8 +425,9 @@ def run_lens(cfg, out_dir: Path) -> dict:
     v0 = np.array([1.0, 0.0])
     target = np.array([cfg["span"], cfg["displacement"]])
     design = design_lens(start, v0, target)
+    # The design's ray has int(2.5 |target| / LENS_DTAU) + 10 > n_steps steps.
     n_steps = int(2.5 * cfg["span"] / LENS_DTAU)
-    ray = integrate_ray(start, v0, design.field, LENS_DTAU, n_steps)
+    ray = design.ray[: n_steps + 1]
     q, v = ray[:, 0], ray[:, 1]
     taus = LENS_DTAU * np.arange(n_steps + 1)
     write_csv(

@@ -68,13 +68,6 @@ _TWO53 = 2**53
 _BLOCK = 32
 _ROWS = 1024
 _GROW = 16
-# run_collapse_batch and run_ruin_walks split batches of at least this many
-# trials or walks over the CPUs of the process's affinity mask.  On 2 CPUs,
-# with each child started on its own CPU, the split breaks even near 2,000
-# trials in DEFAULT_REGION, 4,000 in a pi/8 box and 6,000 walks at m = 60:
-# a slice has nearly the tail of the whole batch, so small batches gain
-# nothing.
-_SHARD_MIN_TRIALS = 8192
 
 # Bloch pole and tangent frame of each source chart (the chart is anchored
 # at the source's own eigenstate; eigenstate 0 is the basis state (1, 0)).
@@ -360,7 +353,7 @@ def run_collapse_batch(
     skipping draws is free), and one sort of the sparse captures picks
     each trial's first.
 
-    A batch of at least _SHARD_MIN_TRIALS trials is split into one
+    A batch of at least shards._MIN_ITEMS trials is split into one
     contiguous slice per CPU of the process's affinity mask, each run by a
     child forked for this batch and reaped before it returns.  The
     outcomes are the same bit for bit on any number of CPUs; `taskset -c 0`
@@ -373,7 +366,7 @@ def run_collapse_batch(
     keys = derive_keys(seed, np.arange(n_trials))
     eigenstates, steps = sharded(
         lambda lo, hi: _run_trials(windows, keys[lo:hi], 0, max_steps),
-        n_trials, (np.int8, np.int64), _SHARD_MIN_TRIALS)
+        n_trials, (np.int8, np.int64))
     left = int(np.count_nonzero(eigenstates < 0))
     if left:
         raise CollapseTimeoutError(
@@ -519,7 +512,7 @@ def run_ruin_walks(
     draw t of the stream (its seed, w) at step t against
     `_walk_thresholds`, so each group equals the call with its own scalars.
     All groups run as one batch, split over the CPUs like a collapse batch
-    once it holds _SHARD_MIN_TRIALS walks.
+    once it holds shards._MIN_ITEMS walks.
 
     Raises CollapseTimeoutError if any walk is not absorbed within
     max_steps.
@@ -533,7 +526,7 @@ def run_ruin_walks(
     thresholds = _walk_thresholds(chain)
     absorbed, steps = sharded(
         lambda lo, hi: _run_walks(thresholds, chain.m, keys[lo:hi], position[lo:hi], max_steps),
-        keys.size, (bool, np.int64), _SHARD_MIN_TRIALS)
+        keys.size, (bool, np.int64))
     left = int(np.count_nonzero(steps < 0))
     if left:
         raise CollapseTimeoutError(f"{left} of {keys.size} walks exceeded {max_steps} steps")

@@ -37,7 +37,7 @@ class StepSizeError(ValueError):
     """Integrator step too large for the requested accuracy."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldParams:
     """Homogeneous magnetic field B with moment mu, in Planck units.
 
@@ -71,7 +71,7 @@ class FieldParams:
         return self.mu * self.field_norm / self.hbar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled states along an evolution; immutable after construction.
 

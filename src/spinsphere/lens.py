@@ -166,22 +166,25 @@ def _min_distance_to_point(positions: np.ndarray, target: np.ndarray) -> float:
     return float(min(dists.min(), end))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LensDesign:
-    """Result of a lens search: the field and the achieved miss distance."""
+    """Result of a lens search: the field, the achieved miss distance, and
+    `ray`, the `integrate_ray` array of the ray the miss was measured on."""
 
     field: RefractiveField
     amplitude: float
     width: float
     center: np.ndarray
     miss: float
+    ray: np.ndarray
 
 
 def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
     """Find a Gaussian dent of eta^2 that steers the ray onto the target.
 
     The ray starts at phi_a with velocity v0 in the flat chart (eta^2 = 1)
-    and is traced with step LENS_DTAU; the perturbation is
+    and is traced with step LENS_DTAU for 2.5 |target - phi_a| / |v0|
+    units of tau, plus 10 steps; the perturbation is
     A exp(-|q - c|^2/w^2) with the center placed halfway down the
     unperturbed ray and offset by w/sqrt(2) toward the target side, where
     the transverse pull of the bump is strongest (a bump centered on the
@@ -211,66 +214,54 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
         raise ValueError(f"the target is too far for the ray: {steps:g} steps")
     n_steps = int(steps) + 10
 
-    def trace(field):
-        return integrate_ray(phi_a, v0, field, LENS_DTAU, n_steps)[:, 0]
-
-    flat_positions = trace(flat)
-    flat_miss = _min_distance_to_point(flat_positions, target)
-    if flat_miss < LENS_MISS_TOL:
-        return LensDesign(flat, 0.0, 0.0, target.copy(), flat_miss)
+    flat_ray = integrate_ray(phi_a, v0, flat, LENS_DTAU, n_steps)
+    flat_positions = flat_ray[:, 0]
+    best = LensDesign(flat, 0.0, 0.0, target.copy(),
+                      _min_distance_to_point(flat_positions, target), flat_ray)
+    if best.miss < LENS_MISS_TOL:
+        return best
 
     # Signed miss: component of the closest-approach offset along the
     # direction from the unperturbed ray toward the target; negative means
-    # under-bent, positive over-bent, so a sign change brackets A.
+    # under-bent, positive over-bent, so a sign change brackets A.  The
+    # closest flat sample is at least the flat miss (>= LENS_MISS_TOL)
+    # away, so aim is a unit vector.
     closest_idx = np.argmin(np.linalg.norm(flat_positions - target, axis=1))
     aim = target - flat_positions[closest_idx]
-    aim_norm = np.linalg.norm(aim)
-    if aim_norm == 0.0:
-        aim = np.zeros_like(target)
-        aim[-1] = 1.0
-    else:
-        aim = aim / aim_norm
+    aim = aim / np.linalg.norm(aim)
 
-    def signed_and_abs_miss(field):
-        positions = trace(field)
+    def beyond(a, width, center):
+        """Trace amplitude a, keep it as best if it misses least, and say
+        whether the ray passes beyond the target (a NaN signed miss does not)."""
+        nonlocal best
+        field = gaussian_bump_field(center, a, width)
+        ray = integrate_ray(phi_a, v0, field, LENS_DTAU, n_steps)
+        positions = ray[:, 0]
         idx = np.argmin(np.linalg.norm(positions - target, axis=1))
-        signed = float(np.dot(positions[idx] - target, aim))
-        return signed, _min_distance_to_point(positions, target)
+        miss = _min_distance_to_point(positions, target)
+        if miss < best.miss:
+            best = LensDesign(field, a, width, center.copy(), miss, ray)
+        return float(np.dot(positions[idx] - target, aim)) > 0.0
 
     midpoint = phi_a + 0.5 * (flat_positions[closest_idx] - phi_a)
-    best = LensDesign(flat, 0.0, 0.0, target.copy(), flat_miss)
     for width in (0.5 * span, 0.25 * span, 1.0 * span):
         center = midpoint + (width / math.sqrt(2.0)) * aim
-
-        def make(a, w=width, c=center):
-            return gaussian_bump_field(c, a, w)
-
-        lo_a = 0.0
-        bracket = None
-        a = max_amplitude / 64.0
+        lo_a, a = 0.0, max_amplitude / 64.0
         while a <= max_amplitude:
-            signed, miss = signed_and_abs_miss(make(a))
-            if miss < best.miss:
-                best = LensDesign(make(a), a, width, center.copy(), miss)
-            if signed > 0.0:
-                bracket = (lo_a, a)
+            if beyond(a, width, center):
                 break
-            lo_a = a
-            a *= 2.0
-        if bracket is None:
+            lo_a, a = a, 2.0 * a
+        else:
             continue
-        lo_a, hi_a = bracket
+        hi_a = a
         for _ in range(60):
             mid = 0.5 * (lo_a + hi_a)
-            signed, miss = signed_and_abs_miss(make(mid))
-            if miss < best.miss:
-                best = LensDesign(make(mid), mid, width, center.copy(), miss)
-            if best.miss < LENS_MISS_TOL:
-                return best
-            if signed > 0.0:
+            if beyond(mid, width, center):
                 hi_a = mid
             else:
                 lo_a = mid
+            if best.miss < LENS_MISS_TOL:
+                return best
     if best.miss < LENS_MISS_TOL:
         return best
     raise LensSearchError(

@@ -1,11 +1,9 @@
 """One forked child per CPU for a loop whose items are independent.
 
-`sharded(run_slice, n, dtypes, min_items)` returns `run_slice(0, n)`.  With
-at least `min_items` items and two or more CPUs in the affinity mask, it
-cuts 0..n into one contiguous slice per CPU and runs `run_slice(lo, hi)` for
-each in a child forked for this call; otherwise it calls `run_slice(0, n)`
-here.  Each caller passes the threshold at which its own loop repays the
-forks.
+`sharded(run_slice, n, dtypes)` returns `run_slice(0, n)`.  With at least
+`_MIN_ITEMS` items and two or more CPUs in the affinity mask, it cuts 0..n
+into one contiguous slice per CPU and runs `run_slice(lo, hi)` for each in
+a child forked for this call; otherwise it calls `run_slice(0, n)` here.
 
 The slice contract:
 
@@ -30,6 +28,14 @@ import signal
 
 import numpy as np
 
+# Collapse trials and ruin walks, the two loops sharded here, split batches
+# of at least this many items over the CPUs of the process's affinity mask.
+# On 2 CPUs, with each child started on its own CPU, the split breaks even
+# near 2,000 trials in collapse.DEFAULT_REGION, 4,000 in a pi/8 box and
+# 6,000 walks at m = 60: a slice has nearly the tail of the whole batch, so
+# small batches gain nothing.
+_MIN_ITEMS = 8192
+
 
 def _worker_count() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
@@ -39,11 +45,11 @@ def _worker_count() -> int:
         return 1
 
 
-def sharded(run_slice, n, dtypes, min_items):
+def sharded(run_slice, n, dtypes):
     """run_slice(0, n) on every CPU: contiguous slices, one forked child each.
 
     run_slice keeps the slice contract of the module docstring.  A call
-    with fewer than min_items items stays in this process.  Child i first
+    with fewer than _MIN_ITEMS items stays in this process.  Child i first
     moves to CPU i (mod their number) of this process's affinity mask, read
     before the forks, then allows the whole mask again: it is placed, not
     pinned, since a kernel that never balances load would leave it on the
@@ -52,7 +58,7 @@ def sharded(run_slice, n, dtypes, min_items):
     or raises, and reruns here the slice of a child that did not exit 0.
     """
     workers = _worker_count()
-    if workers < 2 or n < min_items:
+    if workers < 2 or n < _MIN_ITEMS:
         return run_slice(0, n)
     outs = [np.frombuffer(mmap.mmap(-1, n * np.dtype(d).itemsize), d) for d in dtypes]
 

@@ -379,6 +379,17 @@ def test_uncertainty_energy_check_fails_on_an_overflowed_variance(tmp_path, caps
     assert capsys.readouterr().out == "uncertainty: FAIL failed=energy_uncertainty\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", ["1e5", "1e8", "1e153"])
+def test_uncertainty_energy_check_passes_at_a_large_mu(tmp_path, capsys, mu):
+    # The rounding error grows with mu |B|; in units of max(1, |mu|) it stays
+    # far below the threshold wherever the variance does not overflow.
+    assert main(["uncertainty", "--mu", mu, "--states", "10", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "uncertainty_report.json").read_text())
+    assert report["metrics"]["max_energy_uncertainty_error"] < 1e-13
+    assert capsys.readouterr().out == "uncertainty: PASS\n"
+
+
 @pytest.mark.parametrize("seed", [0, 100, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 1023, 1025, 50_000, 60_001])
 def test_normal_rows_in_blocks_are_one_call_per_state(seed, n):

@@ -323,7 +323,7 @@ def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
     chain = build_markov_chain(60)
     phi = state_with_weight(0.3)
     n_trials = 1000
-    assert n_trials < collapse._SHARD_MIN_TRIALS  # the serial batch path
+    assert n_trials < shards._MIN_ITEMS  # the serial batch path
     walks = run_ruin_walks(chain, 20, 13, 1500)
     batch = run_collapse_batch(phi, WIDE_BOX, 14, n_trials)
     monkeypatch.setattr(collapse, "_BLOCK", 5)
@@ -342,7 +342,7 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
     # clipped at 500 steps, a multiple of no block; some trials capture at
     # step 500 itself.  Captures and the timeout message must match a kernel
     # whose blocks never grow.
-    n = collapse._SHARD_MIN_TRIALS + 1
+    n = shards._MIN_ITEMS + 1
     phi = state_with_weight(0.5)
     keys = derive_keys(42, np.arange(n))
     windows = tuple(_source_window(phi, k, WIDE_BOX) for k in (0, 1))
@@ -356,8 +356,7 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
         forks = force_workers(monkeypatch, workers)
         with pytest.raises(CollapseTimeoutError) as info:
             run_collapse_batch(phi, WIDE_BOX, 42, n, max_steps=500)
-        results.append((str(info.value), shards.sharded(run_slice, n, (np.int8, np.int64),
-                                                        collapse._SHARD_MIN_TRIALS)))
+        results.append((str(info.value), shards.sharded(run_slice, n, (np.int8, np.int64))))
         assert len(forks) == (2 * workers if workers > 1 else 0)
         assert_reaped(forks)
     (message, (eig, steps)), (grown_message, (grown_eig, grown_steps)) = results
@@ -369,7 +368,7 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
 
 def test_sharded_batch_with_uneven_slices(monkeypatch):
     # Slices of 4,097 and 4,098 trials on 2 CPUs; 2,731, 2,732 and 2,732 on 3.
-    args = (state_with_weight(0.3), WIDE_BOX, 606, collapse._SHARD_MIN_TRIALS + 3)
+    args = (state_with_weight(0.3), WIDE_BOX, 606, shards._MIN_ITEMS + 3)
     force_workers(monkeypatch, 1)
     serial = run_collapse_batch(*args)
     for workers in (2, 3):
@@ -381,7 +380,7 @@ def test_sharded_batch_with_uneven_slices(monkeypatch):
 
 @BOTH_PATHS
 def test_batch_timeout_counts_every_trial(workers, monkeypatch):
-    n = collapse._SHARD_MIN_TRIALS + 1
+    n = shards._MIN_ITEMS + 1
     forks = force_workers(monkeypatch, workers)
     with pytest.raises(CollapseTimeoutError) as info:
         run_collapse_batch(state_with_weight(0.5), CaptureRegion(1e-4, 1e-4, 1e-4),
@@ -392,7 +391,7 @@ def test_batch_timeout_counts_every_trial(workers, monkeypatch):
 
 
 def test_batch_reruns_the_slice_of_a_killed_child(monkeypatch):
-    args = (state_with_weight(0.3), WIDE_BOX, 707, collapse._SHARD_MIN_TRIALS)
+    args = (state_with_weight(0.3), WIDE_BOX, 707, shards._MIN_ITEMS)
     force_workers(monkeypatch, 1)
     serial = run_collapse_batch(*args)
     forks = force_workers(monkeypatch, 2)
@@ -426,7 +425,7 @@ def test_children_are_reaped_when_the_parent_raises(monkeypatch):
     monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
     with pytest.raises(KeyboardInterrupt):
         run_collapse_batch(state_with_weight(0.5), DEFAULT_REGION, 8,
-                           collapse._SHARD_MIN_TRIALS)
+                           shards._MIN_ITEMS)
     assert len(forks) == 2
     assert_reaped(forks)
 
@@ -444,7 +443,7 @@ def test_a_ctrl_c_right_after_a_fork_still_reaps_the_child(monkeypatch):
     monkeypatch.setattr(os, "fork", fork_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
         run_collapse_batch(state_with_weight(0.5), DEFAULT_REGION, 8,
-                           collapse._SHARD_MIN_TRIALS)
+                           shards._MIN_ITEMS)
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -452,7 +451,7 @@ def test_a_ctrl_c_right_after_a_fork_still_reaps_the_child(monkeypatch):
 def test_more_children_than_cpus_are_placed_in_turn(tmp_path, monkeypatch):
     # Three children on a two-CPU mask: child i asks for CPU i mod 2 alone,
     # then for the whole mask again, and runs its slice itself.
-    args = (state_with_weight(0.3), WIDE_BOX, 606, collapse._SHARD_MIN_TRIALS + 3)
+    args = (state_with_weight(0.3), WIDE_BOX, 606, shards._MIN_ITEMS + 3)
     force_workers(monkeypatch, 1)
     serial = run_collapse_batch(*args)
     forks = force_workers(monkeypatch, 3)
@@ -484,7 +483,7 @@ def test_more_children_than_cpus_are_placed_in_turn(tmp_path, monkeypatch):
 def test_a_sharded_batch_leaves_the_callers_affinity(monkeypatch):
     before = os.sched_getaffinity(0)
     forks = force_workers(monkeypatch, 2)
-    run_collapse_batch(state_with_weight(0.5), WIDE_BOX, 9, collapse._SHARD_MIN_TRIALS)
+    run_collapse_batch(state_with_weight(0.5), WIDE_BOX, 9, shards._MIN_ITEMS)
     assert len(forks) == 2
     assert os.sched_getaffinity(0) == before
 
@@ -494,7 +493,7 @@ def test_a_sharded_batch_leaves_the_callers_affinity(monkeypatch):
 _KILLED_PARENT = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
-from spinsphere import collapse, shards
+from spinsphere import shards
 from spinsphere.collapse import CaptureRegion, run_collapse_batch
 from spinsphere.su2 import Spinor
 fork = os.fork
@@ -506,7 +505,7 @@ def announce():
 os.fork = announce
 shards._worker_count = lambda: 2
 run_collapse_batch(Spinor(1.0, 0.0), CaptureRegion(1e-6, 1e-6, 1e-6), 1,
-                   2 * collapse._SHARD_MIN_TRIALS)
+                   2 * shards._MIN_ITEMS)
 """
 
 

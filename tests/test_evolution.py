@@ -24,6 +24,7 @@ from spinsphere.evolution import (
     speed_along,
 )
 from spinsphere.cli import main
+from spinsphere.lens import design_lens
 from spinsphere.su2 import PAULI, Spinor
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -92,6 +93,20 @@ def test_field_params_derived_values_are_frozen():
     assert not p.sigma_dot_b.flags.writeable and not p.B.flags.writeable
     with pytest.raises(ValueError):
         p.sigma_dot_b[0, 0] = 0.0
+
+
+def test_array_holding_dataclasses_compare_by_identity_and_hash():
+    # Each holds numpy arrays, whose == is elementwise; equal values must
+    # not raise, so they compare (and hash) by identity.
+    make = {
+        "FieldParams": lambda: FieldParams((0, 0, 1)),
+        "Trajectory": lambda: integrate_numeric(Spinor(1.0, 0.0), FieldParams((0, 0, 1)), 1e-3, 4),
+        "LensDesign": lambda: design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.0)),
+    }
+    for name, new in make.items():
+        a, b = new(), new()
+        assert a == a and a != b and not a == b, name
+        assert hash(a) == hash(a) and len({a, b}) == 2, name
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ import pytest
 from scipy.integrate import solve_ivp
 from test_acceptance import hamiltonian_metric
 
+from spinsphere import cli, lens
 from spinsphere.cli import main
 from spinsphere.evolution import FieldParams
 from spinsphere.lens import (
+    LENS_DTAU,
     FieldEvaluationError,
     LensSearchError,
     RefractiveField,
+    _min_distance_to_point,
     design_lens,
     gaussian_bump_field,
     integrate_ray,
@@ -276,6 +279,32 @@ def test_lens_csv_golden(tmp_path, span, displacement, digest):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     csv_bytes = (tmp_path / "lens_0.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("displacement, span", [(0.05, 1.0), (0.1, 1.0), (0.2, 1.5), (0.0, 1.0)])
+def test_design_carries_the_ray_it_was_measured_on(displacement, span):
+    # The bench's three lens targets and one on the flat ray: the design's
+    # ray is its field's ray from the start, bit for bit.
+    design = design_lens((0.0, 0.0), (1.0, 0.0), (span, displacement))
+    ray = integrate_ray((0.0, 0.0), (1.0, 0.0), design.field, LENS_DTAU, len(design.ray) - 1)
+    assert ray.tobytes() == design.ray.tobytes()
+    assert design.miss == _min_distance_to_point(design.ray[:, 0], np.array([span, displacement]))
+
+
+def test_lens_cli_traces_no_ray_beyond_the_search(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return integrate_ray(*args)
+
+    for module in (lens, cli):  # every namespace a ray could be traced from
+        if hasattr(module, "integrate_ray"):
+            monkeypatch.setattr(module, "integrate_ray", counted)
+    design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.1))
+    search = len(calls)
+    assert main(["lens", "--out", str(tmp_path)]) == 0
+    assert search > 1 and len(calls) == 2 * search
 
 
 def test_lens_search_failure():

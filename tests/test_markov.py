@@ -10,7 +10,7 @@ import pytest
 from test_collapse import BOTH_PATHS, assert_reaped, force_workers
 from test_randomness import stream_uniforms
 
-from spinsphere import collapse
+from spinsphere import collapse, shards
 from spinsphere.collapse import (
     CollapseTimeoutError,
     absorption_probabilities,
@@ -108,7 +108,7 @@ def test_walk_determinism_and_guards():
 )
 def test_walks_golden_digest(m, start, seed, n_walks, digest, workers, monkeypatch):
     # The sharded path also takes these small batches.
-    monkeypatch.setattr(collapse, "_SHARD_MIN_TRIALS", 1)
+    monkeypatch.setattr(shards, "_MIN_ITEMS", 1)
     forks = force_workers(monkeypatch, workers)
     absorbed, steps = run_ruin_walks(build_markov_chain(m), start, seed, n_walks)
     data = absorbed.astype("<u1").tobytes() + steps.astype("<i8").tobytes()
@@ -117,7 +117,7 @@ def test_walks_golden_digest(m, start, seed, n_walks, digest, workers, monkeypat
     assert_reaped(forks)
 
 
-# Three groups below _SHARD_MIN_TRIALS that together reach it.
+# Three groups below shards._MIN_ITEMS that together reach it.
 GROUPS = dict(chain=build_markov_chain(12), start_index=[2, 6, 10], seed=[5, 6, 7],
               n_walks=3000)
 
@@ -125,7 +125,7 @@ GROUPS = dict(chain=build_markov_chain(12), start_index=[2, 6, 10], seed=[5, 6, 
 @BOTH_PATHS
 def test_grouped_walks_equal_the_scalar_calls(workers, monkeypatch):
     chain, n = GROUPS["chain"], GROUPS["n_walks"]
-    assert n < collapse._SHARD_MIN_TRIALS <= 3 * n
+    assert n < shards._MIN_ITEMS <= 3 * n
     force_workers(monkeypatch, 1)
     scalar = [run_ruin_walks(chain, start, seed, n)
               for start, seed in zip(GROUPS["start_index"], GROUPS["seed"])]
