@@ -474,8 +474,14 @@ def run_e2_split(cfg, out_dir: Path) -> dict:
     # which the measurement then splits 50/50.
     b0 = cfg["b0"]
     params = FieldParams((0.0, -b0, 0.0), cfg["mu"], cfg["hbar"])
-    quarter_turn = (math.pi / 4.0) * cfg["hbar"] / abs(cfg["mu"] * b0)
-    traj = _trajectory(cfg, Spinor(1.0, 0.0), params, quarter_turn)
+    if cfg["mu"] * b0 == 0.0:
+        raise ConfigError(f"mu*b0 = {cfg['mu']}*{b0} underflows to 0")
+    if cfg["t_final"] is None:
+        cfg["t_final"] = (math.pi / 4.0) * cfg["hbar"] / abs(cfg["mu"] * b0)
+        if cfg["t_final"] == 0.0:
+            raise ConfigError(f"the quarter turn (pi/4) hbar/|mu b0| underflows to 0 "
+                              f"at mu*b0 = {cfg['mu'] * b0}; set --t-final")
+    traj = _trajectory(cfg, Spinor(1.0, 0.0), params, cfg["t_final"])
     terminal = evolve_exact(Spinor(1.0, 0.0), params, cfg["t_final"])
     target = np.array([1.0, math.copysign(1.0, cfg["mu"] * b0)]) / math.sqrt(2.0)
     split_error = float(np.abs(terminal.vector - target).max())

@@ -32,8 +32,8 @@ The kernel never inverts F and turns no draw into a float: theta, alpha
 and beta are each tested on the raw 64-bit draw against one exact integer
 range per source, the grid points u = k 2^-53 of the box, so the capture
 law is a product of three counts.  The kernel steps its live trials in
-blocks of ticks, and a block grows as the batch thins: a geometric tail of a
-few live trials takes a handful of long blocks, not hundreds of short ones.
+blocks of ticks, laid out (source, tick, row), that grow as the batch
+thins: a tail of a few live trials takes a handful of long blocks.
 Draws are addressed by stream position, so the block widths change no
 outcome.  The batch and single-trial paths share the kernel, so they
 produce bit-identical outcomes.  A large batch of trials or of ruin walks
@@ -243,7 +243,9 @@ def _run_trials(windows, keys, start, max_steps):
     Step t (from 0) of the trial on stream keys[r] reads draws
     start + 6 t + 3 k + (0, 1, 2) as the (theta, alpha, beta) of source k.
     Returns (eigenstates, steps); a trial without a capture within
-    max_steps keeps eigenstate -1.
+    max_steps keeps eigenstate -1.  Entry [k, t, r] of a slab's block is
+    the raw theta draw of source k at tick t for the slab's row r, so each
+    source's theta test is one pass over a contiguous half of the block.
 
     A block spans _BLOCK ticks times min(_GROW, cap // alive), with cap =
     min(n, _ROWS) and alive the live trials, clipped at max_steps.  Growth
@@ -255,12 +257,8 @@ def _run_trials(windows, keys, start, max_steps):
     cap = min(n, _ROWS)
     eigenstates = np.full(n, -1, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
-    # Column c of a block is the theta draw of source c % 2 at tick c // 2.
-    source = np.tile(np.arange(2), _BLOCK * _GROW)
-    offsets = 6 * (np.arange(2 * _BLOCK * _GROW) // 2) + 3 * source
     # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
     starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
-    theta_start, theta_count = starts[0][source], counts[0][source]
     bits_buf = np.empty(2 * _BLOCK * cap, dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
@@ -268,38 +266,44 @@ def _run_trials(windows, keys, start, max_steps):
     tick0 = 0
     while alive.size and tick0 < max_steps:
         blk = _BLOCK * min(_GROW, max(1, cap // alive.size))
-        width = 2 * min(blk, max_steps - tick0)
+        width = min(blk, max_steps - tick0)
         base = start + 6 * tick0
+        # Entry [k, t] is the index of the theta draw of source k at tick t.
+        draws = base + 6 * np.arange(width) + np.array([[0], [3]])
         alive_keys = keys[alive]
         hits = []
         for r0 in range(0, alive.size, _ROWS):
             rows = min(_ROWS, alive.size - r0)
-            bits = bits_buf[: rows * width].reshape(rows, width)
-            bits_at(alive_keys[r0 : r0 + rows, None], base + offsets[:width],
-                    out=bits, scratch=scratch_buf[: rows * width].reshape(rows, width))
-            np.subtract(bits, theta_start[:width], out=bits)
-            hit = hit_buf[: rows * width].reshape(rows, width)
-            np.less(bits, theta_count[:width], out=hit)
-            hits.append(np.flatnonzero(hit) + r0 * width)
-        row, col = np.divmod(np.concatenate(hits), width)
-        k, draw = source[col], base + offsets[col]
+            size = 2 * width * rows
+            bits = bits_buf[:size].reshape(2, width, rows)
+            bits_at(alive_keys[r0 : r0 + rows], draws[:, :, None],
+                    out=bits, scratch=scratch_buf[:size].reshape(2, width, rows))
+            hit = hit_buf[:size].reshape(2, width, rows)
+            for k in (0, 1):
+                np.subtract(bits[k], starts[0, k], out=bits[k])
+                np.less(bits[k], counts[0, k], out=hit[k])
+            kt, row = np.divmod(np.flatnonzero(hit), rows)
+            hits.append((kt, row + r0))
+        kt, row = map(np.concatenate, zip(*hits))
+        k, tick = np.divmod(kt, width)
         for c in (1, 2):  # alpha, then beta, of the draws that hit so far
-            off = bits_at(alive_keys[row], draw + c) - starts[c, k]
-            ok = off < counts[c, k]
-            row, col, k, draw, off = row[ok], col[ok], k[ok], draw[ok], off[ok]
+            off = bits_at(alive_keys[row], base + 6 * tick + 3 * k + c) - starts[c, k]
+            ok = np.flatnonzero(off < counts[c, k])
+            row, tick, k, off = row[ok], tick[ok], k[ok], off[ok]
         if row.size:
-            tick = col // 2
             # First capture per row; on a shared tick the beta draw nearer
             # the centre of its range wins (distance in half grid steps) and
             # an exact tie goes to source 0.
             j, m = (off >> 11).astype(np.int64), (counts[2, k] >> 11).astype(np.int64)
             order = np.lexsort((k, np.abs(2 * j + 1 - m), tick, row))
             row, tick, k = row[order], tick[order], k[order]
-            first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             done = row[first]
             eigenstates[alive[done]] = k[first]
             steps[alive[done]] = tick0 + tick[first] + 1
-            alive = np.delete(alive, done)
+            keep = np.ones(alive.size, dtype=bool)
+            keep[done] = False
+            alive = alive[keep]
         tick0 += blk
     return eigenstates, steps
 
@@ -346,12 +350,12 @@ def run_collapse_batch(
     code paths agree bit for bit.  The trials advance in blocks of _BLOCK
     ticks while more than half of min(n_trials, _ROWS) trials are alive,
     and of up to _GROW times as many ticks, in the same buffers, as fewer
-    are.  Each block tests the theta draws of both sources on their raw
-    64-bit values against one integer range per source, with no float
-    conversion.  Only at the theta hits are the alpha and beta draws
-    evaluated, by the same integer test (the streams are counter-based, so
-    skipping draws is free), and one sort of the sparse captures picks
-    each trial's first.
+    are.  A block holds the theta draws by source, then tick, then trial,
+    and tests each source's half on the raw 64-bit values against its one
+    integer range, with no float conversion.  Only at the theta hits are
+    the alpha and beta draws evaluated, by the same integer test (the
+    streams are counter-based, so skipping draws is free), and one sort of
+    the sparse captures picks each trial's first.
 
     A batch of at least shards._MIN_ITEMS trials is split into one
     contiguous slice per CPU of the process's affinity mask, each run by a

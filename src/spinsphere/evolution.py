@@ -20,6 +20,7 @@ against the exact propagator.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -43,7 +44,8 @@ class FieldParams:
 
     |B| (`field_norm`) and the matrix sigma . B (`sigma_dot_b`) are
     computed once, when the instance is made; B and sigma . B are
-    read-only arrays.
+    read-only arrays.  |B| is sqrt(B . B) while B . B is a normal float,
+    and math.hypot (which scales) where B . B over- or underflows.
     """
 
     B: np.ndarray
@@ -62,7 +64,10 @@ class FieldParams:
             raise ValueError("hbar must be positive")
         sigma_b = sum(bk * s for bk, s in zip(b, PAULI))
         sigma_b.flags.writeable = False
-        object.__setattr__(self, "field_norm", float(np.linalg.norm(b)))
+        with np.errstate(over="ignore"):
+            sq = float(b.dot(b))
+        norm = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*b)
+        object.__setattr__(self, "field_norm", norm)
         object.__setattr__(self, "sigma_dot_b", sigma_b)
 
     @property
@@ -189,12 +194,14 @@ def integrate_numeric(
     the bits no longer depend on the BLAS kernel of the machine.
 
     Raises StepSizeError when dt * |omega| > 0.1 (accuracy guard) and
-    ZeroFieldError for a vanishing field.
+    ZeroFieldError for a vanishing field or an omega that underflows to 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if p.field_norm == 0.0:
         raise ZeroFieldError("evolution requires a nonzero field")
+    if p.omega == 0.0:
+        raise ZeroFieldError("omega = mu |B| / hbar underflows to 0")
     if dt * abs(p.omega) > 0.1:
         raise StepSizeError(
             f"dt*|omega| = {dt * abs(p.omega):.3g} exceeds the 0.1 accuracy guard"

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,13 @@ def test_invalid_value_exits_2(tmp_path):
         (["e2-split", "--b0", "1e-320"], None),
         (["lens", "--span", "1e308"], None),
         (["lens", "--displacement", "1e308"], None),
+        (["e2-split", "--b0", "1e-300", "--mu", "1e-300", "--trials", "2000"], None),
+        (["e2-split", "--b0", "1e-300", "--mu", "1e-300", "--t-final", "1"], None),
+        (["e2-split", "--b0", "1e300", "--mu", "1e10"], None),
+        (["evolve", "--bz", "1e200"], None),
+        (["bloch", "--bx", "1e300", "--by", "1e300"], None),
+        (["e2-split", "--b0", "1e200", "--trials", "2000"], None),
+        (["evolve", "--bz", "1e-300", "--mu", "1e-300"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -106,7 +114,10 @@ def test_invalid_value_exits_2(tmp_path):
          "config-bx-nan", "lens-span-negative", "config-span-zero",
          "evolve-mu-negative-step-guard", "evolve-t-final-overflow",
          "bloch-t-final-overflow", "e2-split-t-final-overflow", "e2-split-b0-overflow",
-         "lens-span-overflow", "lens-displacement-overflow"],
+         "lens-span-overflow", "lens-displacement-overflow", "e2-split-mu-b0-underflow",
+         "e2-split-mu-b0-underflow-t-final", "e2-split-quarter-turn-underflow",
+         "evolve-b-square-overflow", "bloch-b-square-overflow", "e2-split-b-square-overflow",
+         "evolve-omega-underflow"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -117,6 +128,37 @@ def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["e2-split", "--b0", "1e-300", "--mu", "1e-300", "--t-final", "1"],
+         "mu*b0 = 1e-300*1e-300 underflows to 0"),
+        (["e2-split", "--b0", "1e300", "--mu", "1e10"],
+         "the quarter turn (pi/4) hbar/|mu b0| underflows to 0 at mu*b0 = inf; set --t-final"),
+        # |B|^2 overflows, |B| does not: the step guard sees the true omega.
+        (["evolve", "--bz", "1e200"], "dt*|omega| = 1e+197 exceeds the 0.1 accuracy guard"),
+        (["bloch", "--bx", "1e300", "--by", "1e300"],
+         "dt*|omega| = 1.41e+297 exceeds the 0.1 accuracy guard"),
+        (["evolve", "--bz", "1e-300", "--mu", "1e-300"], "omega = mu |B| / hbar underflows to 0"),
+    ],
+    ids=["e2-split-mu-b0-underflow", "e2-split-quarter-turn-underflow",
+         "evolve-b-square-overflow", "bloch-b-square-overflow", "evolve-omega-underflow"],
+)
+def test_extreme_fields_name_the_cause(tmp_path, capsys, argv, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_tiny_and_huge_fields_with_a_finite_omega_run(tmp_path):
+    # |B|^2 underflows or overflows, mu |B| does not.
+    for argv in (["--bz", "1e-300"], ["--bz", "1e200", "--mu", "1e-200"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["evolve", *argv, "--out", str(tmp_path)]) == 0
 
 
 def test_unwritable_out_is_one_line_exit_2(tmp_path, capsys, monkeypatch):

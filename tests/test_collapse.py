@@ -608,24 +608,38 @@ def oracle_windows(phi, region):
     return windows
 
 
+_ORACLE_CASES = [
+    (Spinor(1, 0), DEFAULT_REGION),
+    (Spinor(0, 1), DEFAULT_REGION),
+    (Spinor(1, 0), WIDE_BOX),
+    (Spinor(0, 1), WIDE_BOX),
+    (state_with_weight(0.3), WIDE_BOX),
+    (Spinor(0.6, 0.8j), WIDE_BOX),
+    (Spinor(0.5 - 0.5j, -0.7), CaptureRegion(math.pi / 8, 0.2, 0.3)),
+]
+
+
+# widths (_BLOCK, _ROWS) = (5, 7) split the 40 trials into 6 slabs, and the
+# blocks grow as the trials thin out: the hits of both sources then come
+# from slabs at row offsets other than 0, and from blocks of every width.
 @pytest.mark.parametrize(
-    "phi, region",
-    [
-        (Spinor(1, 0), DEFAULT_REGION),
-        (Spinor(0, 1), DEFAULT_REGION),
-        (Spinor(1, 0), WIDE_BOX),
-        (Spinor(0, 1), WIDE_BOX),
-        (state_with_weight(0.3), WIDE_BOX),
-        (Spinor(0.6, 0.8j), WIDE_BOX),
-        (Spinor(0.5 - 0.5j, -0.7), CaptureRegion(math.pi / 8, 0.2, 0.3)),
-    ],
+    "phi, region, widths",
+    [pytest.param(phi, region, None, id=f"phi{i}-region{i}")
+     for i, (phi, region) in enumerate(_ORACLE_CASES)]
+    + [pytest.param(phi, region, (5, 7), id=f"phi{i}-region{i}-5-tick-blocks-7-row-slabs")
+       for i, (phi, region) in enumerate(_ORACLE_CASES)],
 )
-def test_kernel_matches_scalar_oracle(phi, region):
+def test_kernel_matches_scalar_oracle(monkeypatch, phi, region, widths):
+    if widths:
+        monkeypatch.setattr(collapse, "_BLOCK", widths[0])
+        monkeypatch.setattr(collapse, "_ROWS", widths[1])
     windows = oracle_windows(phi, region)
     out, steps = run_collapse_batch(phi, region, seed=606, n_trials=40)
     for i in range(40):
         expected = oracle_trial(windows, TrialStream(606, i), 1_000_000)
         assert (int(out[i]), int(steps[i])) == expected
+        single = run_collapse_trial(phi, region, TrialStream(606, i))
+        assert (single.eigenstate, single.steps) == expected
 
 
 def _grid_range(first, count):

@@ -7,6 +7,7 @@ and for its fourth-order convergence rate.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ def test_field_params_derived_values_are_frozen():
     assert not p.sigma_dot_b.flags.writeable and not p.B.flags.writeable
     with pytest.raises(ValueError):
         p.sigma_dot_b[0, 0] = 0.0
+
+
+def test_field_norm_where_the_square_over_or_underflows():
+    # sqrt(B . B) keeps its bits while B . B is a normal float; past either
+    # end of that range |B| comes from math.hypot, with no overflow warning.
+    rng = np.random.default_rng(5)
+    for scale in (1e-150, 1e-10, 1.0, 1e10, 1e150):
+        for b in rng.normal(size=(200, 3)) * scale:
+            assert FieldParams(b).field_norm == float(np.linalg.norm(b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b, norm in (((0, 0, 1e200), 1e200), ((1e300, 1e300, 0), math.hypot(1e300, 1e300)),
+                        ((0, -1e-300, 0), 1e-300), ((1e-160, 0, 0), 1e-160), ((0, 0, 0), 0.0)):
+            assert FieldParams(b).field_norm == norm
 
 
 def test_array_holding_dataclasses_compare_by_identity_and_hash():
