@@ -33,7 +33,10 @@ and beta are each tested on the raw 64-bit draw against one exact integer
 range per source, the grid points u = k 2^-53 of the box, so the capture
 law is a product of three counts.  The kernel steps its live trials in
 blocks of ticks, laid out (source, tick, row), that grow as the batch
-thins: a tail of a few live trials takes a handful of long blocks.
+thins: a tail of a few live trials takes a handful of long blocks.  A
+batch of fewer trials than half a buffer's rows, a single trial included,
+is blocked as if it had that many, because below about half a buffer a
+block's numpy calls cost more than its draws.
 Draws are addressed by stream position, so the block widths change no
 outcome.  The batch and single-trial paths share the kernel, so they
 produce bit-identical outcomes.  A large batch of trials or of ruin walks
@@ -63,8 +66,11 @@ _TWO53 = 2**53
 # The capture kernel advances trials in blocks of _BLOCK ticks and mixes the
 # theta draws of at most _ROWS trials at a time, so that its two uint64
 # buffers (512 KiB each) stay in a core's L2 cache.  Once at most half of
-# min(n, _ROWS) trials are alive, a block spans up to _GROW times as many
-# ticks, in proportion, so that rows times ticks stays within the buffers.
+# cap = max(min(n, _ROWS), _ROWS // 2) trials are alive, a block spans up to
+# _GROW times as many ticks, in proportion, so that rows times ticks stays
+# within the buffers.  The floor of _ROWS // 2 widens the blocks of smaller
+# batches and single trials: below about half a buffer, a block's numpy
+# calls cost more than its draws.
 _BLOCK = 32
 _ROWS = 1024
 _GROW = 16
@@ -247,19 +253,23 @@ def _run_trials(windows, keys, start, max_steps):
     the raw theta draw of source k at tick t for the slab's row r, so each
     source's theta test is one pass over a contiguous half of the block.
 
-    A block spans _BLOCK ticks times min(_GROW, cap // alive), with cap =
-    min(n, _ROWS) and alive the live trials, clipped at max_steps.  Growth
-    needs alive <= cap // 2 < _ROWS, so a grown block is one slab of
-    alive * 2 _BLOCK (cap // alive) <= 2 _BLOCK cap theta draws: it fits
-    the buffers, as a full slab of _BLOCK ticks does.
+    A block spans _BLOCK ticks times min(_GROW, max(1, cap // alive)), with
+    cap = max(min(n, _ROWS), _ROWS // 2) and alive the live trials, clipped
+    at max_steps.  The floor of _ROWS // 2 gives a smaller batch, or a
+    single trial, wide blocks from its first tick: below about half a
+    buffer, a block's numpy calls cost more than its draws.  Growth needs
+    alive <= cap // 2 < _ROWS, so a grown block is one slab of
+    alive * 2 _BLOCK min(_GROW, cap // alive) <= 2 _BLOCK min(cap, _GROW n)
+    theta draws, the size of the buffers; a slab of _BLOCK ticks holds
+    2 _BLOCK min(alive, _ROWS) <= 2 _BLOCK min(cap, n) draws.
     """
     n = keys.size
-    cap = min(n, _ROWS)
+    cap = max(min(n, _ROWS), _ROWS // 2)
     eigenstates = np.full(n, -1, dtype=np.int8)
     steps = np.zeros(n, dtype=np.int64)
     # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
     starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
-    bits_buf = np.empty(2 * _BLOCK * cap, dtype=np.uint64)
+    bits_buf = np.empty(2 * _BLOCK * min(cap, _GROW * n), dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
     alive = np.arange(n)
@@ -348,14 +358,16 @@ def run_collapse_batch(
     Trial i draws from the stream derived from (seed, i), exactly as a
     run_collapse_trial call with TrialStream(seed, i) would, so the two
     code paths agree bit for bit.  The trials advance in blocks of _BLOCK
-    ticks while more than half of min(n_trials, _ROWS) trials are alive,
-    and of up to _GROW times as many ticks, in the same buffers, as fewer
-    are.  A block holds the theta draws by source, then tick, then trial,
-    and tests each source's half on the raw 64-bit values against its one
-    integer range, with no float conversion.  Only at the theta hits are
-    the alpha and beta draws evaluated, by the same integer test (the
-    streams are counter-based, so skipping draws is free), and one sort of
-    the sparse captures picks each trial's first.
+    ticks while more than half of max(min(n_trials, _ROWS), _ROWS // 2)
+    trials are alive, and of up to _GROW times as many ticks, in the same
+    buffers, as fewer are; so a batch of fewer than _ROWS // 2 trials
+    starts in wide blocks, since below about half a buffer a block's numpy
+    calls cost more than its draws.  A block holds the theta draws by
+    source, then tick, then trial, and tests each source's half on the raw
+    64-bit values against its one integer range, with no float conversion.
+    Only at the theta hits are the alpha and beta draws evaluated, by the
+    same integer test (the streams are counter-based, so skipping draws is
+    free), and one sort of the sparse captures picks each trial's first.
 
     A batch of at least shards._MIN_ITEMS trials is split into one
     contiguous slice per CPU of the process's affinity mask, each run by a

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +209,12 @@ def integrate_numeric(
     g = [part for z in gen.ravel().tolist() for part in (z.real, z.imag, -z.imag)]
     half, sixth = 0.5 * dt, dt / 6.0
     state = (phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag)
-    flat = array("d", state)
+    # Allocated before the loop, so a step count too large to hold fails here.
+    states = np.empty((n_steps + 1, 2), dtype=complex)
+    flat = memoryview(states.view(float).reshape(-1))
+    flat[0], flat[1], flat[2], flat[3] = state
     max_drift = 0.0
-    for _ in range(n_steps):
+    for j in range(4, 4 * n_steps + 4, 4):
         k1 = _gen_times(g, state)
         k2 = _gen_times(g, _plus_scaled(state, half, k1))
         k3 = _gen_times(g, _plus_scaled(state, half, k2))
@@ -226,8 +228,7 @@ def integrate_numeric(
         inv = 1.0 / norm  # numpy divides by norm + 0j: (re + im * 0) / norm
         state = ((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv,
                  (br + bi * 0.0) * inv, (bi - br * 0.0) * inv)
-        flat.extend(state)
-    states = np.frombuffer(flat).view(complex).reshape(n_steps + 1, 2)
+        flat[j], flat[j + 1], flat[j + 2], flat[j + 3] = state
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, states, p, max_drift)
 

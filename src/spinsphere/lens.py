@@ -138,8 +138,11 @@ def integrate_ray(
     half = 0.5 * dtau
     gx, gy = field.grad_eta_sq(x, y)
     ax, ay = 0.5 * gx, 0.5 * gy
-    ray = [x, y, vx, vy]
-    for _ in range(n_steps):
+    # Allocated before the loop, so a step count too large to hold fails here.
+    ray = np.empty((n_steps + 1, 2, 2))
+    flat = memoryview(ray.reshape(-1))
+    flat[0], flat[1], flat[2], flat[3] = x, y, vx, vy
+    for j in range(4, 4 * n_steps + 4, 4):
         hx = vx + half * ax
         hy = vy + half * ay
         x = x + dtau * hx
@@ -148,8 +151,8 @@ def integrate_ray(
         ax, ay = 0.5 * gx, 0.5 * gy
         vx = hx + half * ax
         vy = hy + half * ay
-        ray += (x, y, vx, vy)
-    return np.array(ray).reshape(n_steps + 1, 2, 2)
+        flat[j], flat[j + 1], flat[j + 2], flat[j + 3] = x, y, vx, vy
+    return ray
 
 
 def _min_distance_to_point(positions: np.ndarray, target: np.ndarray) -> float:

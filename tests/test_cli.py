@@ -104,6 +104,11 @@ def test_invalid_value_exits_2(tmp_path):
         (["bloch", "--bx", "1e300", "--by", "1e300"], None),
         (["e2-split", "--b0", "1e200", "--trials", "2000"], None),
         (["evolve", "--bz", "1e-300", "--mu", "1e-300"], None),
+        # About 1e12 steps or more: the result array cannot be allocated.
+        (["evolve", "--dt", "1e-12"], None),
+        (["bloch", "--dt", "1e-12"], None),
+        (["e2-split", "--t-final", "1e9", "--trials", "100"], None),
+        (["lens", "--span", "1e12"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -117,7 +122,8 @@ def test_invalid_value_exits_2(tmp_path):
          "lens-span-overflow", "lens-displacement-overflow", "e2-split-mu-b0-underflow",
          "e2-split-mu-b0-underflow-t-final", "e2-split-quarter-turn-underflow",
          "evolve-b-square-overflow", "bloch-b-square-overflow", "e2-split-b-square-overflow",
-         "evolve-omega-underflow"],
+         "evolve-omega-underflow", "evolve-dt-step-count", "bloch-dt-step-count",
+         "e2-split-t-final-step-count", "lens-span-step-count"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:

@@ -318,21 +318,53 @@ def test_batch_golden_digest(phi, region, seed, digest, workers, monkeypatch):
 
 def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
     # Both blocked engines read draws by absolute stream position, so odd
-    # block, slab and growth widths must give the default widths' outputs
-    # exactly; _GROW = 1 is a kernel whose blocks never grow.
+    # block, slab and growth widths must give exactly the outputs of the
+    # default widths with _GROW = 1, a kernel whose blocks never grow.
+    # Batches of 2 and 64 trials lie below the floor of _ROWS // 2 rows, so
+    # their blocks are wide from the first tick.
     chain = build_markov_chain(60)
     phi = state_with_weight(0.3)
-    n_trials = 1000
-    assert n_trials < shards._MIN_ITEMS  # the serial batch path
-    walks = run_ruin_walks(chain, 20, 13, 1500)
-    batch = run_collapse_batch(phi, WIDE_BOX, 14, n_trials)
-    monkeypatch.setattr(collapse, "_BLOCK", 5)
-    monkeypatch.setattr(collapse, "_ROWS", 7)
-    for grow in (1, 3, collapse._GROW):
-        monkeypatch.setattr(collapse, "_GROW", grow)
-        for want, got in ((walks, run_ruin_walks(chain, 20, 13, 1500)),
-                          (batch, run_collapse_batch(phi, WIDE_BOX, 14, n_trials))):
-            assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+    sizes = (2, 64, 1000)
+    assert max(sizes) < shards._MIN_ITEMS  # the serial batch path
+
+    def run_all():
+        return [run_ruin_walks(chain, 20, 13, 1500),
+                *(run_collapse_batch(phi, WIDE_BOX, 14, n) for n in sizes)]
+
+    grows = (1, 3, collapse._GROW)
+    monkeypatch.setattr(collapse, "_GROW", 1)
+    narrow = run_all()
+    for block, rows in ((collapse._BLOCK, collapse._ROWS), (5, 7)):
+        monkeypatch.setattr(collapse, "_BLOCK", block)
+        monkeypatch.setattr(collapse, "_ROWS", rows)
+        for grow in grows:
+            monkeypatch.setattr(collapse, "_GROW", grow)
+            for want, got in zip(narrow, run_all()):
+                assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+
+def test_small_batches_and_single_trials_run_in_wide_blocks(monkeypatch):
+    # Each theta block is one bits_at call with out= (every batch here fits
+    # one slab).  A batch below _ROWS // 2 trials is blocked as one of
+    # _ROWS // 2 trials; blocks sized by the batch alone took 7, 7 and 7
+    # blocks for 64, 128 and 256 trials and 96 for the 20 single trials.  A
+    # batch of 1,000 trials is above the floor and keeps its blocks.
+    blocks = [0]
+
+    def counting_bits_at(*args, **kwargs):
+        blocks[-1] += "out" in kwargs
+        return bits_at(*args, **kwargs)
+
+    monkeypatch.setattr(collapse, "bits_at", counting_bits_at)
+    phi = state_with_weight(0.3)
+    for n in (64, 128, 256):
+        run_collapse_batch(phi, WIDE_BOX, 14, n)
+        blocks.append(0)
+    for i in range(20):
+        run_collapse_trial(phi, WIDE_BOX, TrialStream(606, i))
+    blocks.append(0)
+    run_collapse_batch(phi, DEFAULT_REGION, 14, 1000)
+    assert blocks == [2, 3, 4, 20, 40]
 
 
 @BOTH_PATHS
