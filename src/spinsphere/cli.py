@@ -11,8 +11,8 @@ before it writes a file removes the directories it created for --out; one
 that existed before is left in place.  Exit status: 0 pass,
 1 threshold failure, 2 usage, configuration or output-directory error
 (including a collapse run that would more likely than not hit its step
-limit), 3 no convergence (a collapse trial or walk hit its step limit, or
-the lens search failed).
+limit, and an integration of more than MAX_STEPS steps), 3 no convergence
+(a collapse trial or walk hit its step limit, or the lens search failed).
 
 Each configuration key is one entry of PARAMS (type, default, valid range,
 help), which builds the --key-with-dashes flags listed by `spinsphere
@@ -76,6 +76,11 @@ class Param(NamedTuple):
     check: tuple[Callable[[object], bool], str] | None = None
     switch: bool = False
 
+
+# The most steps one integration (an evolution trajectory or the lens ray)
+# may take.  A run over it exits 2 before it allocates anything, whatever
+# the machine's memory, instead of running for hours until it is killed.
+MAX_STEPS = 10**7
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
@@ -174,14 +179,18 @@ def _weighted_state(c1_sq: float) -> Spinor:
     return Spinor(math.sqrt(c1_sq), math.sqrt(1.0 - c1_sq))
 
 
+def _check_steps(n_steps, what: str) -> None:
+    if not n_steps <= MAX_STEPS:
+        raise ConfigError(f"{what} needs {n_steps:.3g} steps, more than the bound of {MAX_STEPS:.0e}")
+
+
 def _trajectory(cfg, phi0: Spinor, params: FieldParams, t_default: float):
     """Integrate phi0 up to t_final (set to t_default when unset) in
     max(round(t_final / dt), 4) equal steps, so short runs end at t_final, not 4 dt."""
     if cfg["t_final"] is None:
         cfg["t_final"] = t_default
     steps = cfg["t_final"] / cfg["dt"]
-    if not math.isfinite(steps):
-        raise ConfigError(f"t_final/dt must be finite, got {cfg['t_final']}/{cfg['dt']}")
+    _check_steps(steps, f"t_final/dt = {cfg['t_final']}/{cfg['dt']}")
     n_steps = max(round(steps), 4)
     return integrate_numeric(phi0, params, cfg["t_final"] / n_steps, n_steps)
 
@@ -424,6 +433,7 @@ def run_lens(cfg, out_dir: Path) -> dict:
     start = np.zeros(2)
     v0 = np.array([1.0, 0.0])
     target = np.array([cfg["span"], cfg["displacement"]])
+    _check_steps(2.5 * math.hypot(*target) / LENS_DTAU + 10, "the lens ray")
     design = design_lens(start, v0, target)
     # The design's ray has int(2.5 |target| / LENS_DTAU) + 10 > n_steps steps.
     n_steps = int(2.5 * cfg["span"] / LENS_DTAU)

@@ -33,8 +33,10 @@ and beta are each tested on the raw 64-bit draw against one exact integer
 range per source, the grid points u = k 2^-53 of the box, so the capture
 law is a product of three counts.  The kernel steps its live trials in
 blocks of ticks, laid out (source, tick, row), that grow as the batch
-thins: a tail of a few live trials takes a handful of long blocks.  A
-batch of fewer trials than half a buffer's rows, a single trial included,
+thins: a tail of a few live trials takes a handful of long blocks.  Only
+theta hits get the alpha, then the beta test, by small per-block tables
+of draw offsets, starts and counts indexed by the hit's (source, tick).
+A batch of fewer trials than half a buffer's rows, a single trial included,
 is blocked as if it had that many, because below about half a buffer a
 block's numpy calls cost more than its draws.
 Draws are addressed by stream position, so the block widths change no
@@ -56,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bloch import hopf_project, spinor_from_bloch
-from .randomness import TrialStream, bits_at, derive_keys
+from .randomness import GOLDEN, TrialStream, bits_at, derive_keys, mix64
 from .shards import sharded
 from .su2 import Spinor
 
@@ -252,6 +254,10 @@ def _run_trials(windows, keys, start, max_steps):
     max_steps keeps eigenstate -1.  Entry [k, t, r] of a slab's block is
     the raw theta draw of source k at tick t for the slab's row r, so each
     source's theta test is one pass over a contiguous half of the block.
+    A hit's flat entry is kt rows + r with kt = k width + t, which indexes
+    per-block tables of 2 width draw offsets (j + 1) GOLDEN, starts and
+    counts: an alpha or beta round is one gather of keys, one mix64 and one
+    test on the hits left, and compacts only (kt, row).
 
     A block spans _BLOCK ticks times min(_GROW, max(1, cap // alive)), with
     cap = max(min(n, _ROWS), _ROWS // 2) and alive the live trials, clipped
@@ -269,6 +275,7 @@ def _run_trials(windows, keys, start, max_steps):
     steps = np.zeros(n, dtype=np.int64)
     # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
     starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
+    beta_grid = (counts[2] >> 11).astype(np.int64)
     bits_buf = np.empty(2 * _BLOCK * min(cap, _GROW * n), dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
@@ -279,7 +286,7 @@ def _run_trials(windows, keys, start, max_steps):
         width = min(blk, max_steps - tick0)
         base = start + 6 * tick0
         # Entry [k, t] is the index of the theta draw of source k at tick t.
-        draws = base + 6 * np.arange(width) + np.array([[0], [3]])
+        draws = (base + 6 * np.arange(width) + np.array([[0], [3]])).astype(np.uint64)
         alive_keys = keys[alive]
         hits = []
         for r0 in range(0, alive.size, _ROWS):
@@ -292,20 +299,23 @@ def _run_trials(windows, keys, start, max_steps):
             for k in (0, 1):
                 np.subtract(bits[k], starts[0, k], out=bits[k])
                 np.less(bits[k], counts[0, k], out=hit[k])
-            kt, row = np.divmod(np.flatnonzero(hit), rows)
-            hits.append((kt, row + r0))
-        kt, row = map(np.concatenate, zip(*hits))
-        k, tick = np.divmod(kt, width)
+            kt, row = np.divmod(hit_buf[:size].nonzero()[0], rows)
+            hits.append((kt, row + r0 if r0 else row))
+        kt, row = hits[0] if len(hits) == 1 else map(np.concatenate, zip(*hits))
         for c in (1, 2):  # alpha, then beta, of the draws that hit so far
-            off = bits_at(alive_keys[row], base + 6 * tick + 3 * k + c) - starts[c, k]
-            ok = np.flatnonzero(off < counts[c, k])
-            row, tick, k, off = row[ok], tick[ok], k[ok], off[ok]
+            off = alive_keys[row]
+            off += np.multiply(draws + (c + 1), GOLDEN).reshape(-1)[kt]
+            mix64(off, out=off)
+            off -= np.repeat(starts[c], width)[kt]
+            ok = (off < np.repeat(counts[c], width)[kt]).nonzero()[0]
+            kt, row = kt[ok], row[ok]
         if row.size:
             # First capture per row; on a shared tick the beta draw nearer
             # the centre of its range wins (distance in half grid steps) and
-            # an exact tie goes to source 0.
-            j, m = (off >> 11).astype(np.int64), (counts[2, k] >> 11).astype(np.int64)
-            order = np.lexsort((k, np.abs(2 * j + 1 - m), tick, row))
+            # an exact tie goes to source 0.  off[ok] holds the beta offsets.
+            k, tick = np.divmod(kt, width)
+            dist = np.abs(2 * (off[ok] >> 11).astype(np.int64) + 1 - beta_grid[k])
+            order = np.lexsort((k, dist, tick, row))
             row, tick, k = row[order], tick[order], k[order]
             first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             done = row[first]

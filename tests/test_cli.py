@@ -109,6 +109,11 @@ def test_invalid_value_exits_2(tmp_path):
         (["bloch", "--dt", "1e-12"], None),
         (["e2-split", "--t-final", "1e9", "--trials", "100"], None),
         (["lens", "--span", "1e12"], None),
+        # Over the bound of 1e7 integration steps, whatever the machine's memory.
+        (["evolve", "--dt", "1e-8"], None),
+        (["bloch", "--dt", "1e-8"], None),
+        (["e2-split", "--t-final", "1e5", "--trials", "100"], None),
+        (["lens", "--span", "1e5"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -123,7 +128,8 @@ def test_invalid_value_exits_2(tmp_path):
          "e2-split-mu-b0-underflow-t-final", "e2-split-quarter-turn-underflow",
          "evolve-b-square-overflow", "bloch-b-square-overflow", "e2-split-b-square-overflow",
          "evolve-omega-underflow", "evolve-dt-step-count", "bloch-dt-step-count",
-         "e2-split-t-final-step-count", "lens-span-step-count"],
+         "e2-split-t-final-step-count", "lens-span-step-count", "evolve-dt-step-bound",
+         "bloch-dt-step-bound", "e2-split-t-final-step-bound", "lens-span-step-bound"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:

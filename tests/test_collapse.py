@@ -682,30 +682,58 @@ def _grid_range(first, count):
 # Per source, the beta range (a, m): its m grid points start a points below
 # the grid point of the beta draw, which so lies |2 a + 1 - m| half grid
 # steps from the centre of the range.
+_TIE_CASES = [
+    ((40, 81), (40, 81), 0, "both-centred"),
+    ((43, 81), (37, 81), 0, "both-3-steps-off"),
+    ((41, 81), (40, 81), 1, "1-nearer-by-a-step"),
+    ((40, 81), (39, 81), 0, "0-nearer-by-a-step"),
+    ((40, 82), (40, 81), 1, "1-nearer-by-half-a-step"),
+]
+
+
 @pytest.mark.parametrize(
-    "beta0, beta1, winner",
-    [
-        pytest.param((40, 81), (40, 81), 0, id="both-centred"),
-        pytest.param((43, 81), (37, 81), 0, id="both-3-steps-off"),
-        pytest.param((41, 81), (40, 81), 1, id="1-nearer-by-a-step"),
-        pytest.param((40, 81), (39, 81), 0, id="0-nearer-by-a-step"),
-        pytest.param((40, 82), (40, 81), 1, id="1-nearer-by-half-a-step"),
-    ],
+    "beta0, beta1, winner, widths",
+    [pytest.param(b0, b1, w, None, id=name) for b0, b1, w, name in _TIE_CASES]
+    + [pytest.param(b0, b1, w, (5, 2), id=f"{name}-5-tick-blocks-2-row-slabs")
+       for b0, b1, w, name in _TIE_CASES],
 )
-def test_kernel_same_tick_tie(beta0, beta1, winner):
-    # Both sources capture at tick 5 of stream 1 and at no earlier tick:
+def test_kernel_same_tick_tie(monkeypatch, beta0, beta1, winner, widths):
+    # Both sources capture at tick 5 of stream 2 and at no earlier tick:
     # each theta and alpha range is the single grid point of that tick's draw.
+    # At widths (5, 2) the capture lies in the block of ticks 5-9 and in its
+    # second slab, at row offset 2.
+    if widths:
+        monkeypatch.setattr(collapse, "_BLOCK", widths[0])
+        monkeypatch.setattr(collapse, "_ROWS", widths[1])
     keys = derive_keys(707, np.arange(3))
     tick = 5
-    grid = [int(b) >> 11 for b in bits_at(keys[1], 6 * tick + np.arange(6))]
+    grid = [int(b) >> 11 for b in bits_at(keys[2], 6 * tick + np.arange(6))]
     windows = [
         (_grid_range(grid[3 * k], 1), _grid_range(grid[3 * k + 1], 1),
          _grid_range(grid[3 * k + 2] - a, m))
         for k, (a, m) in enumerate((beta0, beta1))
     ]
     out, steps = _run_trials(windows, keys, 0, tick + 10)
-    assert out.tolist() == [-1, winner, -1]
-    assert steps[1] == tick + 1
+    assert out.tolist() == [-1, -1, winner]
+    assert steps[2] == tick + 1
+
+
+# An alpha box of 1e-3 lets about one theta hit in 1,600 through, so most
+# blocks run their beta round and the capture resolution on empty arrays,
+# and most of the 300 trials time out at 200 steps.  Seed 11 also has
+# captures by both sources.
+@pytest.mark.parametrize("widths", [None, (5, 7)], ids=["default-widths", "5-tick-blocks-7-row-slabs"])
+def test_kernel_empty_rounds_and_timeouts_match_oracle(monkeypatch, widths):
+    if widths:
+        monkeypatch.setattr(collapse, "_BLOCK", widths[0])
+        monkeypatch.setattr(collapse, "_ROWS", widths[1])
+    phi, region, n = Spinor(0.6, 0.8j), CaptureRegion(math.pi / 8, 1e-3, math.pi / 8), 300
+    windows = tuple(_source_window(phi, k, region) for k in (0, 1))
+    out, steps = _run_trials(windows, derive_keys(11, np.arange(n)), 0, 200)
+    got = [(int(e), int(s)) if e >= 0 else None for e, s in zip(out, steps)]
+    oracle = oracle_windows(phi, region)
+    assert got == [oracle_trial(oracle, TrialStream(11, i), 200) for i in range(n)]
+    assert {0, 1} <= set(out.tolist()) and np.count_nonzero(out < 0) > n - 10
 
 
 def _bit_range_member(b, start, count):
