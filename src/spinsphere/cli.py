@@ -430,11 +430,9 @@ def run_markov(cfg, out_dir: Path) -> dict:
 
 
 def run_lens(cfg, out_dir: Path) -> dict:
-    start = np.zeros(2)
-    v0 = np.array([1.0, 0.0])
-    target = np.array([cfg["span"], cfg["displacement"]])
+    target = (cfg["span"], cfg["displacement"])
     _check_steps(2.5 * math.hypot(*target) / LENS_DTAU + 10, "the lens ray")
-    design = design_lens(start, v0, target)
+    design = design_lens(target)
     # The design's ray has int(2.5 |target| / LENS_DTAU) + 10 > n_steps steps.
     n_steps = int(2.5 * cfg["span"] / LENS_DTAU)
     ray = design.ray[: n_steps + 1]

@@ -6,14 +6,16 @@ metric satisfy the geometrical-optics ray equation
     d^2 q / d tau^2 = (1/2) grad(eta^2),
 
 i.e. Newtonian motion of a unit mass in the potential U = -eta^2 / 2.
-A field carries eta^2 and its analytic gradient as float functions of
-the point (x, y) of the plane.  `integrate_ray` returns a ray as one
-array with a (q, v) row per leapfrog step.  The ray invariant
-E = |v|^2/2 - eta^2(q)/2 is conserved, which is the integrator's
-primary diagnostic; `ray_energy` evaluates it along a ray.
-`design_lens` searches a family of localized Gaussian perturbations of
-eta^2 for one that bends a given ray onto a target point ("denting" the
-space so the geodesic lands where the measurement wants it).
+The one field is `GaussianBump`, eta^2 = 1 plus a Gaussian dent of
+amplitude A >= 0, with its analytic gradient as float functions of the
+point (x, y) of the plane; A = 0 is the flat medium.  `integrate_ray`
+returns a ray as one array with a (q, v) row per leapfrog step.  The ray
+invariant E = |v|^2/2 - eta^2(q)/2 is conserved, which is the
+integrator's primary diagnostic; `ray_energy` evaluates it along a ray.
+`design_lens` searches the bumps of amplitude up to LENS_MAX_AMPLITUDE
+for one that bends the ray launched from LENS_START with velocity
+LENS_V0 onto a target point ("denting" the space so the geodesic lands
+where the measurement wants it).
 """
 
 from __future__ import annotations
@@ -27,73 +29,39 @@ from .floats import fma
 
 LENS_MISS_TOL = 1e-3  # a lens design is accepted when its ray passes this close
 LENS_DTAU = 2e-3  # leapfrog step of the lens search's rays
-
-
-class FieldEvaluationError(RuntimeError):
-    """A refractive field could not be evaluated at a ray position."""
+LENS_START = (0.0, 0.0)  # every lens ray starts here ...
+LENS_V0 = (1.0, 0.0)  # ... with this velocity dq/dtau
+LENS_MAX_AMPLITUDE = 8.0  # the largest dent A the search tries
 
 
 class LensSearchError(RuntimeError):
     """No perturbation in the configured family reached the target."""
 
 
-class RefractiveField:
-    """Scalar field eta^2 over the plane, with its analytic gradient.
-
-    eta_sq_fn(x, y) returns eta^2 at the point (x, y) as a float, and
-    grad_fn(x, y) returns its gradient as a float pair (gx, gy).  eta^2
-    must be positive and finite wherever it is evaluated; a failure of
-    either function is raised as FieldEvaluationError naming the point.
-    """
-
-    def __init__(self, eta_sq_fn, grad_fn):
-        self._eta_sq_fn = eta_sq_fn
-        self._grad_fn = grad_fn
-
-    def eta_sq(self, x: float, y: float) -> float:
-        try:
-            value = float(self._eta_sq_fn(x, y))
-        except Exception as exc:
-            raise FieldEvaluationError(f"eta^2 failed at q=({x}, {y})") from exc
-        if not math.isfinite(value) or value <= 0.0:
-            raise FieldEvaluationError(
-                f"eta^2 must be positive and finite, got {value} at q=({x}, {y})"
-            )
-        return value
-
-    def grad_eta_sq(self, x: float, y: float) -> tuple[float, float]:
-        try:
-            gx, gy = self._grad_fn(x, y)
-        except Exception as exc:
-            raise FieldEvaluationError(f"grad eta^2 failed at q=({x}, {y})") from exc
-        return gx, gy
-
-
-def uniform_field() -> RefractiveField:
-    """Homogeneous medium eta^2 = 1: straight-line rays."""
-    return RefractiveField(lambda x, y: 1.0, lambda x, y: (0.0, 0.0))
-
-
-def gaussian_bump_field(center, amplitude: float, width: float) -> RefractiveField:
-    """eta^2 = 1 + A exp(-|q - c|^2 / w^2), with analytic gradient.
+class GaussianBump:
+    """eta^2 = 1 + A exp(-|q - c|^2 / w^2) over the plane, with its analytic
+    gradient, as float functions of the point (x, y).  A = 0 is the flat
+    medium eta^2 = 1, whose rays are straight lines.
 
     |q - c|^2 is fma(dy, dy, dx * dx), the rounding of the BLAS dot
     product this field was first written with."""
-    cx, cy = (float(c) for c in center)
-    w_sq = width**2
 
-    def eta_sq(x, y):
-        dx = x - cx
-        dy = y - cy
-        return 1.0 + amplitude * math.exp(-fma(dy, dy, dx * dx) / w_sq)
+    def __init__(self, center, amplitude: float, width: float):
+        self.cx, self.cy = (float(c) for c in center)
+        self.amplitude = amplitude
+        self.w_sq = width**2
 
-    def grad(x, y):
-        dx = x - cx
-        dy = y - cy
-        scale = (-2.0 / w_sq) * (amplitude * math.exp(-fma(dy, dy, dx * dx) / w_sq))
+    def eta_sq(self, x: float, y: float) -> float:
+        dx = x - self.cx
+        dy = y - self.cy
+        return 1.0 + self.amplitude * math.exp(-fma(dy, dy, dx * dx) / self.w_sq)
+
+    def grad_eta_sq(self, x: float, y: float) -> tuple[float, float]:
+        dx = x - self.cx
+        dy = y - self.cy
+        w_sq = self.w_sq
+        scale = (-2.0 / w_sq) * (self.amplitude * math.exp(-fma(dy, dy, dx * dx) / w_sq))
         return scale * dx, scale * dy
-
-    return RefractiveField(eta_sq, grad)
 
 
 def _plane_points(points) -> list:
@@ -104,10 +72,10 @@ def _plane_points(points) -> list:
     return points.tolist()
 
 
-def ray_energy(q, v, field: RefractiveField) -> np.ndarray:
+def ray_energy(q, v, field: GaussianBump) -> np.ndarray:
     """Conserved ray invariant E = |v|^2 / 2 - eta^2(q) / 2 of every row of
     the positions q and velocities v, each of shape (n, 2); |v|^2 is
-    fma(vy, vy, vx * vx), as in `gaussian_bump_field`."""
+    fma(vy, vy, vx * vx), as in `GaussianBump`."""
     return np.array([
         0.5 * fma(vy, vy, vx * vx) - 0.5 * field.eta_sq(x, y)
         for (x, y), (vx, vy) in zip(_plane_points(q), _plane_points(v))
@@ -115,7 +83,7 @@ def ray_energy(q, v, field: RefractiveField) -> np.ndarray:
 
 
 def integrate_ray(
-    q0, v0, field: RefractiveField, dtau: float, n_steps: int
+    q0, v0, field: GaussianBump, dtau: float, n_steps: int
 ) -> np.ndarray:
     """Leapfrog (velocity Verlet) integration of the ray equation from
     position q0 and velocity v0 = dq/dtau at tau = 0, both points of the
@@ -136,7 +104,8 @@ def integrate_ray(
         raise ValueError("dtau must be positive")
     (x, y), (vx, vy) = _plane_points([q0, v0])
     half = 0.5 * dtau
-    gx, gy = field.grad_eta_sq(x, y)
+    grad = field.grad_eta_sq
+    gx, gy = grad(x, y)
     ax, ay = 0.5 * gx, 0.5 * gy
     # Allocated before the loop, so a step count too large to hold fails here.
     ray = np.empty((n_steps + 1, 2, 2))
@@ -147,7 +116,7 @@ def integrate_ray(
         hy = vy + half * ay
         x = x + dtau * hx
         y = y + dtau * hy
-        gx, gy = field.grad_eta_sq(x, y)
+        gx, gy = grad(x, y)
         ax, ay = 0.5 * gx, 0.5 * gy
         vx = hx + half * ax
         vy = hy + half * ay
@@ -174,7 +143,7 @@ class LensDesign:
     """Result of a lens search: the field, the achieved miss distance, and
     `ray`, the `integrate_ray` array of the ray the miss was measured on."""
 
-    field: RefractiveField
+    field: GaussianBump
     amplitude: float
     width: float
     center: np.ndarray
@@ -182,42 +151,42 @@ class LensDesign:
     ray: np.ndarray
 
 
-def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
-    """Find a Gaussian dent of eta^2 that steers the ray onto the target.
+def design_lens(target) -> LensDesign:
+    """Find a Gaussian dent of eta^2 that steers the lens ray onto the target.
 
-    The ray starts at phi_a with velocity v0 in the flat chart (eta^2 = 1)
-    and is traced with step LENS_DTAU for 2.5 |target - phi_a| / |v0|
-    units of tau, plus 10 steps; the perturbation is
-    A exp(-|q - c|^2/w^2) with the center placed halfway down the
-    unperturbed ray and offset by w/sqrt(2) toward the target side, where
-    the transverse pull of the bump is strongest (a bump centered on the
-    target itself mostly accelerates the ray along-track and saturates).
-    For each width in the ladder (0.5, 0.25, 1.0) times the distance to
-    the target, the amplitude is bracketed by an upward doubling scan of
-    the signed lateral miss, up to max_amplitude, and then bisected.  The
-    search reports the best achieved miss distance and raises
-    LensSearchError when no member of the family gets within
-    LENS_MISS_TOL (the family is finite; existence of some perturbation
-    is the model's claim, not a guarantee for this family).
+    The ray starts at LENS_START with velocity LENS_V0, so the target is
+    (span, displacement): its distance along the launch and across it.
+    The ray is traced with step LENS_DTAU for 2.5 |target| units of tau,
+    plus 10 steps; the perturbation is A exp(-|q - c|^2/w^2) with the
+    center placed halfway down the unperturbed ray and offset by
+    w/sqrt(2) toward the target side, where the transverse pull of the
+    bump is strongest (a bump centered on the target itself mostly
+    accelerates the ray along-track and saturates).  For each width in the
+    ladder (0.5, 0.25, 1.0) times |target|, the amplitude is bracketed by
+    an upward doubling scan of the signed lateral miss, up to
+    LENS_MAX_AMPLITUDE, and then bisected.  The search reports the best
+    achieved miss distance and raises LensSearchError when no member of
+    the family gets within LENS_MISS_TOL (the family is finite; existence
+    of some perturbation is the model's claim, not a guarantee for this
+    family).
 
-    A target already on the unperturbed ray is accepted with A = 0.
+    A target already on the unperturbed ray is accepted with the flat
+    field and reported as A = 0, w = 0, centered on the target.
     """
-    phi_a = np.asarray(phi_a, dtype=float)
     target = np.asarray(target, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if np.allclose(phi_a, target):
-        raise ValueError("phi_a and target must differ")
-    flat = uniform_field()
+    if np.allclose(LENS_START, target):
+        raise ValueError("span and displacement put the lens target on the "
+                         f"ray's start {LENS_START}")
+    flat = GaussianBump((0.0, 0.0), 0.0, 1.0)
 
     with np.errstate(over="ignore"):  # a target beyond ~1e154 is inf away
-        span = float(np.linalg.norm(target - phi_a))
-    speed = max(float(np.linalg.norm(v0)), 1e-12)
-    steps = 2.5 * span / (speed * LENS_DTAU)
+        distance = float(np.linalg.norm(target))
+    steps = 2.5 * distance / LENS_DTAU
     if not math.isfinite(steps):
         raise ValueError(f"the target is too far for the ray: {steps:g} steps")
     n_steps = int(steps) + 10
 
-    flat_ray = integrate_ray(phi_a, v0, flat, LENS_DTAU, n_steps)
+    flat_ray = integrate_ray(LENS_START, LENS_V0, flat, LENS_DTAU, n_steps)
     flat_positions = flat_ray[:, 0]
     best = LensDesign(flat, 0.0, 0.0, target.copy(),
                       _min_distance_to_point(flat_positions, target), flat_ray)
@@ -237,8 +206,8 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
         """Trace amplitude a, keep it as best if it misses least, and say
         whether the ray passes beyond the target (a NaN signed miss does not)."""
         nonlocal best
-        field = gaussian_bump_field(center, a, width)
-        ray = integrate_ray(phi_a, v0, field, LENS_DTAU, n_steps)
+        field = GaussianBump(center, a, width)
+        ray = integrate_ray(LENS_START, LENS_V0, field, LENS_DTAU, n_steps)
         positions = ray[:, 0]
         idx = np.argmin(np.linalg.norm(positions - target, axis=1))
         miss = _min_distance_to_point(positions, target)
@@ -246,11 +215,11 @@ def design_lens(phi_a, v0, target, max_amplitude: float = 8.0) -> LensDesign:
             best = LensDesign(field, a, width, center.copy(), miss, ray)
         return float(np.dot(positions[idx] - target, aim)) > 0.0
 
-    midpoint = phi_a + 0.5 * (flat_positions[closest_idx] - phi_a)
-    for width in (0.5 * span, 0.25 * span, 1.0 * span):
+    midpoint = 0.5 * flat_positions[closest_idx]
+    for width in (0.5 * distance, 0.25 * distance, 1.0 * distance):
         center = midpoint + (width / math.sqrt(2.0)) * aim
-        lo_a, a = 0.0, max_amplitude / 64.0
-        while a <= max_amplitude:
+        lo_a, a = 0.0, LENS_MAX_AMPLITUDE / 64.0
+        while a <= LENS_MAX_AMPLITUDE:
             if beyond(a, width, center):
                 break
             lo_a, a = a, 2.0 * a

@@ -30,13 +30,7 @@ from spinsphere.evolution import (
     integrate_numeric,
     speed_along,
 )
-from spinsphere.lens import (
-    design_lens,
-    gaussian_bump_field,
-    integrate_ray,
-    ray_energy,
-    uniform_field,
-)
+from spinsphere.lens import GaussianBump, design_lens, integrate_ray, ray_energy
 from spinsphere.pairs import SingletSectorState, run_epr_batch
 from spinsphere.su2 import Spinor, killing_inner
 
@@ -216,16 +210,17 @@ def test_criterion_7_markov_chain_collapse():
 
 def test_criterion_8_ray_integrator_and_lens():
     crit = Criterion(8, "conformal ray integrator + lens", 10.0)
-    straight = integrate_ray((0.0, 0.0), (0.8, 0.6), uniform_field(), 1e-3, 10_000)
+    flat = GaussianBump(center=(0.0, 0.0), amplitude=0.0, width=1.0)
+    straight = integrate_ray((0.0, 0.0), (0.8, 0.6), flat, 1e-3, 10_000)
     expected = np.outer(1e-3 * np.arange(10_001), [0.8, 0.6])
     line_dev = float(np.abs(straight[:, 0] - expected).max())
     assert line_dev < 1e-10
-    gauss = gaussian_bump_field(center=(0.5, 0.3), amplitude=0.5, width=0.7)
+    gauss = GaussianBump(center=(0.5, 0.3), amplitude=0.5, width=0.7)
     ray = integrate_ray((-1.5, 0.1), (1.0, 0.05), gauss, 2e-4, 10_000)
     energies = ray_energy(ray[:, 0], ray[:, 1], gauss)
     drift = float(np.abs(energies - energies[0]).max())
     assert drift < 1e-8
-    design = design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.1))
+    design = design_lens((1.0, 0.1))
     assert design.miss < 1e-3
     crit.done(
         f"line dev {line_dev:.2e}, energy drift {drift:.2e}, "

@@ -208,6 +208,24 @@ def test_non_convergence_exits_3(tmp_path, capsys, monkeypatch, experiment, targ
     assert err == f"did not converge: {error}\n"
 
 
+def test_unreachable_lens_target_exits_3(tmp_path, capsys):
+    # No bump of the family bends the ray 1 across within a span of 0.2.
+    assert run_cli(["lens", "--span", "0.2", "--displacement", "1",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: no (A, w) in the family reached miss < 0.001; "
+        "best miss 1.411e-01\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lens_target_on_the_start_names_span_and_displacement(tmp_path, capsys):
+    # span and displacement are the lens inputs a user sets; the launch is fixed.
+    assert run_cli(["lens", "--span", "1e-9", "--displacement", "0",
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: span and displacement put the lens target on the ray's start (0.0, 0.0)\n")
+
+
 def test_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     # What `born --trials 100000000000` raises; nothing is allocated here.
     def no_memory(*args, **kwargs):

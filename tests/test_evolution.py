@@ -116,7 +116,7 @@ def test_array_holding_dataclasses_compare_by_identity_and_hash():
     make = {
         "FieldParams": lambda: FieldParams((0, 0, 1)),
         "Trajectory": lambda: integrate_numeric(Spinor(1.0, 0.0), FieldParams((0, 0, 1)), 1e-3, 4),
-        "LensDesign": lambda: design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.0)),
+        "LensDesign": lambda: design_lens((1.0, 0.0)),
     }
     for name, new in make.items():
         a, b = new(), new()

@@ -6,6 +6,7 @@ as an independent reference for the Gaussian-bump deflection.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,19 +19,19 @@ from spinsphere.cli import main
 from spinsphere.evolution import FieldParams
 from spinsphere.lens import (
     LENS_DTAU,
-    FieldEvaluationError,
+    LENS_START,
+    LENS_V0,
+    GaussianBump,
     LensSearchError,
-    RefractiveField,
     _min_distance_to_point,
     design_lens,
-    gaussian_bump_field,
     integrate_ray,
     ray_energy,
-    uniform_field,
 )
 from spinsphere.su2 import Spinor
 
-GAUSS = gaussian_bump_field(center=(0.5, 0.3), amplitude=0.5, width=0.7)
+GAUSS = GaussianBump(center=(0.5, 0.3), amplitude=0.5, width=0.7)
+FLAT = GaussianBump(center=(0.0, 0.0), amplitude=0.0, width=1.0)
 
 
 def energies(ray, field):
@@ -38,7 +39,7 @@ def energies(ray, field):
 
 
 def numpy_bump(center, amplitude, width):
-    """eta^2 and its gradient on numpy points, as gaussian_bump_field was
+    """eta^2 and its gradient on numpy points, as the Gaussian bump was
     written before the ray moved to floats."""
     c = np.asarray(center, dtype=float)
 
@@ -78,22 +79,31 @@ def numpy_leapfrog(q0, v0, grad, dtau, n_steps):
 # ---------------------------------------------------------------------------
 
 def test_uniform_medium_straight_line():
-    field = uniform_field()
-    ray = integrate_ray((0.0, 0.0), (0.8, 0.6), field, 1e-3, 10_000)
+    ray = integrate_ray((0.0, 0.0), (0.8, 0.6), FLAT, 1e-3, 10_000)
     expected = np.outer(
         1e-3 * np.arange(10_001), np.array([0.8, 0.6])
     )
     assert np.abs(ray[:, 0] - expected).max() < 1e-10
 
 
+class LinearField:
+    """eta^2 = 1 + 2 g.q, with the two float methods of GaussianBump."""
+
+    def __init__(self, gx, gy):
+        self.gx, self.gy = gx, gy
+
+    def eta_sq(self, x, y):
+        return 1.0 + 2.0 * (self.gx * x + self.gy * y)
+
+    def grad_eta_sq(self, x, y):
+        return 2.0 * self.gx, 2.0 * self.gy
+
+
 def test_constant_gradient_exact_parabola():
     # eta^2 = 1 + 2 g.q gives constant acceleration g; velocity Verlet
     # reproduces the quadratic exactly up to roundoff.
     g = np.array([0.0, -0.25])
-    gx, gy = g.tolist()
-    field = RefractiveField(
-        lambda x, y: 1.0 + 2.0 * (gx * x + gy * y), lambda x, y: (2.0 * gx, 2.0 * gy)
-    )
+    field = LinearField(*g.tolist())
     dtau = 1e-3
     ray = integrate_ray((0.0, 0.0), (1.0, 0.5), field, dtau, 2000)
     taus = dtau * np.arange(2001)
@@ -106,7 +116,7 @@ def test_constant_gradient_exact_parabola():
 def test_gaussian_bump_attracts_ray():
     # Off-axis ray should bend toward the bump center; reference from
     # scipy's RK45 at tight tolerance.
-    field = gaussian_bump_field(center=(1.0, 0.4), amplitude=0.8, width=0.5)
+    field = GaussianBump(center=(1.0, 0.4), amplitude=0.8, width=0.5)
     ray = integrate_ray((0.0, 0.0), (1.0, 0.0), field, 1e-3, 2500)
     y_final = ray[-1, 0, 1]
     assert y_final > 0.01  # pulled toward positive y
@@ -191,35 +201,12 @@ def test_finite_difference_gradient_matches_analytic():
         ).max() < 1e-8
 
 
-def test_field_error_context():
-    def flat_gradient(x, y):
-        return 0.0, 0.0
-
-    field = RefractiveField(lambda x, y: -1.0, flat_gradient)
-    with pytest.raises(FieldEvaluationError, match=r"got -1.0 at q=\(0.0, 0.5\)"):
-        field.eta_sq(0.0, 0.5)
-    with pytest.raises(FieldEvaluationError):
-        ray_energy([(0.0, 0.0)], [(1.0, 0.0)], field)
-    for value in (math.inf, math.nan, 0.0):
-        with pytest.raises(FieldEvaluationError):
-            RefractiveField(lambda x, y, value=value: value, flat_gradient).eta_sq(0.0, 0.0)
-    raising = RefractiveField(lambda x, y: 1.0 / 0.0, flat_gradient)
-    with pytest.raises(FieldEvaluationError, match=r"eta\^2 failed at q=\(0.0, 0.0\)"):
-        raising.eta_sq(0.0, 0.0)
-    bad_gradient = RefractiveField(lambda x, y: 1.0, lambda x, y: 1.0 / 0.0)
-    with pytest.raises(FieldEvaluationError):
-        integrate_ray((0.0, 0.0), (1.0, 0.0), bad_gradient, 1e-3, 1)
-    not_a_pair = RefractiveField(lambda x, y: 1.0, lambda x, y: 0.0)
-    with pytest.raises(FieldEvaluationError):
-        integrate_ray((0.0, 0.0), (1.0, 0.0), not_a_pair, 1e-3, 1)
-
-
 def test_rays_live_in_the_plane():
     with pytest.raises(ValueError, match="points of the plane"):
-        integrate_ray((0.0,), (1.0,), uniform_field(), 1e-3, 1)
+        integrate_ray((0.0,), (1.0,), FLAT, 1e-3, 1)
     with pytest.raises(ValueError, match="points of the plane"):
-        ray_energy([(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)], uniform_field())
-    assert integrate_ray((0.0, 0.0), (1.0, 0.0), uniform_field(), 1e-3, 0).shape == (1, 2, 2)
+        ray_energy([(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)], FLAT)
+    assert integrate_ray((0.0, 0.0), (1.0, 0.0), FLAT, 1e-3, 0).shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +214,21 @@ def test_rays_live_in_the_plane():
 # ---------------------------------------------------------------------------
 
 def test_lens_trivial_when_target_on_ray():
-    design = design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+    design = design_lens((1.0, 0.0))
     assert design.amplitude == 0.0
     assert design.miss < 1e-3
 
 
+def test_flat_design_report_pins_no_bump(tmp_path):
+    # The flat field is a bump of width 1, but the design on the flat ray
+    # reports no bump: amplitude 0, width 0, centered on the target.
+    assert main(["lens", "--span", "1", "--displacement", "0", "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "lens_report.json").read_text())["metrics"]
+    assert (metrics["amplitude"], metrics["width"], metrics["center"]) == (0.0, 0.0, [1.0, 0.0])
+
+
 def test_lens_displaced_target():
-    design = design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.1))
+    design = design_lens((1.0, 0.1))
     assert design.miss < 1e-3
     assert design.amplitude > 0.0
     # Re-integrate with the found field and confirm the reported miss.
@@ -256,7 +251,7 @@ def test_lens_displaced_target():
 def test_lens_search_golden(target, amplitude, width, center, miss):
     # Bit-exact pin of the search on the benchmark's (span, displacement)
     # targets, so a refactor of the search or the fields shows any drift.
-    design = design_lens((0.0, 0.0), (1.0, 0.0), target)
+    design = design_lens(target)
     assert design.amplitude.hex() == amplitude
     assert float(design.width).hex() == width
     assert tuple(float(c).hex() for c in design.center) == center
@@ -285,8 +280,8 @@ def test_lens_csv_golden(tmp_path, span, displacement, digest):
 def test_design_carries_the_ray_it_was_measured_on(displacement, span):
     # The bench's three lens targets and one on the flat ray: the design's
     # ray is its field's ray from the start, bit for bit.
-    design = design_lens((0.0, 0.0), (1.0, 0.0), (span, displacement))
-    ray = integrate_ray((0.0, 0.0), (1.0, 0.0), design.field, LENS_DTAU, len(design.ray) - 1)
+    design = design_lens((span, displacement))
+    ray = integrate_ray(LENS_START, LENS_V0, design.field, LENS_DTAU, len(design.ray) - 1)
     assert ray.tobytes() == design.ray.tobytes()
     assert design.miss == _min_distance_to_point(design.ray[:, 0], np.array([span, displacement]))
 
@@ -301,29 +296,39 @@ def test_lens_cli_traces_no_ray_beyond_the_search(tmp_path, monkeypatch):
     for module in (lens, cli):  # every namespace a ray could be traced from
         if hasattr(module, "integrate_ray"):
             monkeypatch.setattr(module, "integrate_ray", counted)
-    design_lens((0.0, 0.0), (1.0, 0.0), (1.0, 0.1))
+    design_lens((1.0, 0.1))
     search = len(calls)
     assert main(["lens", "--out", str(tmp_path)]) == 0
     assert search > 1 and len(calls) == 2 * search
 
 
-def test_lens_search_failure():
-    with pytest.raises(LensSearchError):
-        design_lens(
-            (0.0, 0.0), (1.0, 0.0), (1.0, 0.8), max_amplitude=1e-4
-        )
+def test_lens_search_failure(monkeypatch):
+    # A target far across a short span.  The two narrow widths never bend
+    # the ray past it up to LENS_MAX_AMPLITUDE (7 rays each); the widest
+    # brackets a sign change of the signed miss at A in (1, 2] but closes
+    # no closer than 0.14 in 60 bisections: 1 + 7 + 7 + 5 + 60 rays.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return integrate_ray(*args)
+
+    monkeypatch.setattr(lens, "integrate_ray", counted)
+    with pytest.raises(LensSearchError, match=r"best miss 1\.411e-01$"):
+        design_lens((0.2, 1.0))
+    assert len(calls) == 80
 
 
 def test_lens_rejects_degenerate_request():
-    with pytest.raises(ValueError):
-        design_lens((0.0, 0.0), (1.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="span and displacement"):
+        design_lens((0.0, 0.0))
 
 
 def test_trapping_well_confines_ray():
     # E below the boundary potential floor cannot escape the dent: with
     # eta^2 -> 1 far away, E < -1/2 confines the ray.
     center = np.array([2.0, 0.0])
-    field = gaussian_bump_field(center=center, amplitude=1.0, width=0.4)
+    field = GaussianBump(center=center, amplitude=1.0, width=0.4)
     v0 = (0.1, 0.07)
     e0 = ray_energy([center], [v0], field)[0]
     assert e0 < -0.5
