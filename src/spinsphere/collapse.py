@@ -76,6 +76,10 @@ _TWO53 = 2**53
 _BLOCK = 32
 _ROWS = 1024
 _GROW = 16
+# The ruin walks step slabs of at most _WALK_ROWS walks through blocks of
+# _BLOCK ticks: a tick costs four numpy calls per slab, which outweigh the
+# draws of 1,024 walks.  Their buffer holds 2 _BLOCK _WALK_ROWS draws (2 MiB).
+_WALK_ROWS = 4096
 
 # Bloch pole and tangent frame of each source chart (the chart is anchored
 # at the source's own eigenstate; eigenstate 0 is the basis state (1, 0)).
@@ -276,6 +280,13 @@ def _run_trials(windows, keys, start, max_steps):
     # Raw-draw range (starts, counts)[c, k] of coordinate c of source k.
     starts, counts = np.array(windows, dtype=np.uint64).transpose(2, 1, 0)
     beta_grid = (counts[2] >> 11).astype(np.int64)
+    # Entry [0 or 1, c - 1, k] is the start or count of alpha (c = 1) or beta.
+    ab_ranges = np.array((starts[1:], counts[1:]))
+    # Entry [k, t] is the offset 6 t + 3 k of the theta draw of source k at
+    # tick t of a block; the alpha and beta draws follow it.
+    ticks = min(_BLOCK * _GROW, max_steps)
+    offsets = (6 * np.arange(ticks) + np.array([[0], [3]])).astype(np.uint64)
+    ab_next = np.array([2, 3], dtype=np.uint64).reshape(2, 1, 1)
     bits_buf = np.empty(2 * _BLOCK * min(cap, _GROW * n), dtype=np.uint64)
     scratch_buf = np.empty_like(bits_buf)
     hit_buf = np.empty(bits_buf.size, dtype=bool)
@@ -284,9 +295,8 @@ def _run_trials(windows, keys, start, max_steps):
     while alive.size and tick0 < max_steps:
         blk = _BLOCK * min(_GROW, max(1, cap // alive.size))
         width = min(blk, max_steps - tick0)
-        base = start + 6 * tick0
         # Entry [k, t] is the index of the theta draw of source k at tick t.
-        draws = (base + 6 * np.arange(width) + np.array([[0], [3]])).astype(np.uint64)
+        draws = offsets[:, :width] + np.uint64(start + 6 * tick0)
         alive_keys = keys[alive]
         hits = []
         for r0 in range(0, alive.size, _ROWS):
@@ -299,15 +309,21 @@ def _run_trials(windows, keys, start, max_steps):
             for k in (0, 1):
                 np.subtract(bits[k], starts[0, k], out=bits[k])
                 np.less(bits[k], counts[0, k], out=hit[k])
-            kt, row = np.divmod(hit_buf[:size].nonzero()[0], rows)
+            f = hit_buf[:size].nonzero()[0]
+            kt = f // rows
+            row = f - kt * rows
             hits.append((kt, row + r0 if r0 else row))
         kt, row = hits[0] if len(hits) == 1 else map(np.concatenate, zip(*hits))
+        # Row c - 1 of each table is indexed by kt: the alpha or beta draw's
+        # (j + 1) GOLDEN, and its source's start and count.
+        ab_steps = np.multiply(draws + ab_next, GOLDEN).reshape(2, -1)
+        ab_start, ab_count = np.repeat(ab_ranges, width, axis=2)
         for c in (1, 2):  # alpha, then beta, of the draws that hit so far
             off = alive_keys[row]
-            off += np.multiply(draws + (c + 1), GOLDEN).reshape(-1)[kt]
+            off += ab_steps[c - 1][kt]
             mix64(off, out=off)
-            off -= np.repeat(starts[c], width)[kt]
-            ok = (off < np.repeat(counts[c], width)[kt]).nonzero()[0]
+            off -= ab_start[c - 1][kt]
+            ok = (off < ab_count[c - 1][kt]).nonzero()[0]
             kt, row = kt[ok], row[ok]
         if row.size:
             # First capture per row; on a shared tick the beta draw nearer
@@ -488,21 +504,22 @@ def _run_walks(thresholds, m, keys, start, max_steps):
 
     Returns (absorbed_at_zero, steps); a walk not absorbed within max_steps
     has steps -1.  Each block of _BLOCK ticks makes one bits_at call per
-    slab of at most _ROWS alive walks into a buffer of that bound.  An
-    absorbed walk keeps stepping away, so its overshoot at the end of the
-    block gives its last step; `alive` is compacted once per block.
+    slab of at most _WALK_ROWS alive walks into a buffer of that bound,
+    2 _BLOCK _WALK_ROWS draws with their scratch.  An absorbed walk keeps
+    stepping away, so its overshoot at the end of the block gives its last
+    step; `alive` is compacted once per block.
     """
     n = keys.size
     absorbed, steps = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int64)
     # At tick c of a block, pos = position + c (+2 per step away, +0 toward 0) indexes views[c].
     views = [thresholds[_BLOCK - c :] for c in range(_BLOCK)]
     alive, position = np.arange(n), np.array(start)
-    buf = np.empty((2, _BLOCK * min(n, _ROWS)), dtype=np.uint64)
+    buf = np.empty((2, _BLOCK * min(n, _WALK_ROWS)), dtype=np.uint64)
     tick0 = 0
     while alive.size and tick0 < max_steps:
         width = min(_BLOCK, max_steps - tick0)
-        for r0 in range(0, alive.size, _ROWS):
-            pos = position[r0 : r0 + _ROWS]
+        for r0 in range(0, alive.size, _WALK_ROWS):
+            pos = position[r0 : r0 + _WALK_ROWS]
             bits, scratch = buf[:, : width * pos.size].reshape(2, width, pos.size)
             bits_at(keys[r0 : r0 + pos.size], np.arange(tick0, tick0 + width)[:, None],
                     out=bits, scratch=scratch)
@@ -538,7 +555,8 @@ def run_ruin_walks(
     draw t of the stream (its seed, w) at step t against
     `_walk_thresholds`, so each group equals the call with its own scalars.
     All groups run as one batch, split over the CPUs like a collapse batch
-    once it holds shards._MIN_ITEMS walks.
+    once it holds shards._MIN_ITEMS walks; each slice steps its walks in
+    slabs of at most _WALK_ROWS through blocks of _BLOCK ticks.
 
     Raises CollapseTimeoutError if any walk is not absorbed within
     max_steps.

@@ -164,7 +164,11 @@ def design_lens(target) -> LensDesign:
     accelerates the ray along-track and saturates).  For each width in the
     ladder (0.5, 0.25, 1.0) times |target|, the amplitude is bracketed by
     an upward doubling scan of the signed lateral miss, up to
-    LENS_MAX_AMPLITUDE, and then bisected.  The search reports the best
+    LENS_MAX_AMPLITUDE, and then bisected, at most 60 times; a width's
+    bisection stops early once its bracket's two rays lie too close
+    together for any ray between them to come within LENS_MISS_TOL (the
+    sign change was a jump of the closest step between arcs of the ray,
+    not a crossing of the target).  The search reports the best
     achieved miss distance and raises LensSearchError when no member of
     the family gets within LENS_MISS_TOL (the family is finite; existence
     of some perturbation is the model's claim, not a guarantee for this
@@ -188,8 +192,8 @@ def design_lens(target) -> LensDesign:
 
     flat_ray = integrate_ray(LENS_START, LENS_V0, flat, LENS_DTAU, n_steps)
     flat_positions = flat_ray[:, 0]
-    best = LensDesign(flat, 0.0, 0.0, target.copy(),
-                      _min_distance_to_point(flat_positions, target), flat_ray)
+    flat_miss = _min_distance_to_point(flat_positions, target)
+    best = LensDesign(flat, 0.0, 0.0, target.copy(), flat_miss, flat_ray)
     if best.miss < LENS_MISS_TOL:
         return best
 
@@ -202,9 +206,10 @@ def design_lens(target) -> LensDesign:
     aim = target - flat_positions[closest_idx]
     aim = aim / np.linalg.norm(aim)
 
-    def beyond(a, width, center):
-        """Trace amplitude a, keep it as best if it misses least, and say
-        whether the ray passes beyond the target (a NaN signed miss does not)."""
+    def probe(a, width, center):
+        """Trace amplitude a and keep it as best if it misses least.  Returns
+        whether the ray passes beyond the target (a NaN signed miss does
+        not), and its positions with its miss."""
         nonlocal best
         field = GaussianBump(center, a, width)
         ray = integrate_ray(LENS_START, LENS_V0, field, LENS_DTAU, n_steps)
@@ -213,25 +218,39 @@ def design_lens(target) -> LensDesign:
         miss = _min_distance_to_point(positions, target)
         if miss < best.miss:
             best = LensDesign(field, a, width, center.copy(), miss, ray)
-        return float(np.dot(positions[idx] - target, aim)) > 0.0
+        return float(np.dot(positions[idx] - target, aim)) > 0.0, (positions, miss)
+
+    def stuck(lo, hi):
+        """Whether bisecting between the rays lo and hi, each its positions
+        and miss, cannot succeed: each step of one ray lies within d of the
+        other's, and both miss by at least d + LENS_MISS_TOL, so a ray
+        between them (within about d of both, for a smooth family) misses
+        too.  Rays on either side of the target, a true sign change, miss
+        by less than about d."""
+        d = np.linalg.norm(lo[0] - hi[0], axis=1).max()
+        return min(lo[1], hi[1]) - d >= LENS_MISS_TOL
 
     midpoint = 0.5 * flat_positions[closest_idx]
     for width in (0.5 * distance, 0.25 * distance, 1.0 * distance):
         center = midpoint + (width / math.sqrt(2.0)) * aim
-        lo_a, a = 0.0, LENS_MAX_AMPLITUDE / 64.0
+        lo_a, a, lo = 0.0, LENS_MAX_AMPLITUDE / 64.0, (flat_positions, flat_miss)
         while a <= LENS_MAX_AMPLITUDE:
-            if beyond(a, width, center):
+            over, hi = probe(a, width, center)
+            if over:
                 break
-            lo_a, a = a, 2.0 * a
+            lo_a, a, lo = a, 2.0 * a, hi
         else:
             continue
         hi_a = a
         for _ in range(60):
+            if stuck(lo, hi):
+                break
             mid = 0.5 * (lo_a + hi_a)
-            if beyond(mid, width, center):
-                hi_a = mid
+            over, ray = probe(mid, width, center)
+            if over:
+                hi_a, hi = mid, ray
             else:
-                lo_a = mid
+                lo_a, lo = mid, ray
             if best.miss < LENS_MISS_TOL:
                 return best
     if best.miss < LENS_MISS_TOL:

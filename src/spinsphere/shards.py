@@ -32,8 +32,9 @@ import numpy as np
 # of at least this many items over the CPUs of the process's affinity mask.
 # On 2 CPUs, with each child started on its own CPU, the split breaks even
 # near 2,000 trials in collapse.DEFAULT_REGION, 4,000 in a pi/8 box and
-# 6,000 walks at m = 60: a slice has nearly the tail of the whole batch, so
-# small batches gain nothing.
+# 7,000 walks at m = 60 from markov's five starts (in slabs of 4,096
+# walks): a slice has nearly the tail of the whole batch, so small batches
+# gain nothing.
 _MIN_ITEMS = 8192
 
 

@@ -321,22 +321,27 @@ def test_blocked_engines_do_not_depend_on_block_or_slab_width(monkeypatch):
     # block, slab and growth widths must give exactly the outputs of the
     # default widths with _GROW = 1, a kernel whose blocks never grow.
     # Batches of 2 and 64 trials lie below the floor of _ROWS // 2 rows, so
-    # their blocks are wide from the first tick.
+    # their blocks are wide from the first tick.  The 5,000 walks take two
+    # slabs at the default _WALK_ROWS.
     chain = build_markov_chain(60)
     phi = state_with_weight(0.3)
     sizes = (2, 64, 1000)
-    assert max(sizes) < shards._MIN_ITEMS  # the serial batch path
+    walks = 5000
+    assert collapse._WALK_ROWS < walks < 2 * collapse._WALK_ROWS
+    assert max(*sizes, walks) < shards._MIN_ITEMS  # the serial batch path
 
     def run_all():
-        return [run_ruin_walks(chain, 20, 13, 1500),
+        return [run_ruin_walks(chain, 20, 13, walks),
                 *(run_collapse_batch(phi, WIDE_BOX, 14, n) for n in sizes)]
 
     grows = (1, 3, collapse._GROW)
     monkeypatch.setattr(collapse, "_GROW", 1)
     narrow = run_all()
-    for block, rows in ((collapse._BLOCK, collapse._ROWS), (5, 7)):
+    default = (collapse._BLOCK, collapse._ROWS, collapse._WALK_ROWS)
+    for block, rows, walk_rows in (default, (5, 7, 7)):
         monkeypatch.setattr(collapse, "_BLOCK", block)
         monkeypatch.setattr(collapse, "_ROWS", rows)
+        monkeypatch.setattr(collapse, "_WALK_ROWS", walk_rows)
         for grow in grows:
             monkeypatch.setattr(collapse, "_GROW", grow)
             for want, got in zip(narrow, run_all()):

@@ -305,8 +305,10 @@ def test_lens_cli_traces_no_ray_beyond_the_search(tmp_path, monkeypatch):
 def test_lens_search_failure(monkeypatch):
     # A target far across a short span.  The two narrow widths never bend
     # the ray past it up to LENS_MAX_AMPLITUDE (7 rays each); the widest
-    # brackets a sign change of the signed miss at A in (1, 2] but closes
-    # no closer than 0.14 in 60 bisections: 1 + 7 + 7 + 5 + 60 rays.
+    # brackets a sign change of the signed miss at A in (1, 2], where the
+    # closest step jumps from one arc of the ray to another.  One bisection
+    # leaves (1.5, 2], whose rays lie within 0.58 of each other and miss by
+    # 0.97 and 0.84, so the search stops: 1 + 7 + 7 + 5 + 1 rays.
     calls = []
 
     def counted(*args):
@@ -316,7 +318,7 @@ def test_lens_search_failure(monkeypatch):
     monkeypatch.setattr(lens, "integrate_ray", counted)
     with pytest.raises(LensSearchError, match=r"best miss 1\.411e-01$"):
         design_lens((0.2, 1.0))
-    assert len(calls) == 80
+    assert len(calls) == 21
 
 
 def test_lens_rejects_degenerate_request():

@@ -229,6 +229,24 @@ def test_walk_step_budget_edges(m, start, seed, n_walks):
             assert np.array_equal(absorbed, want[0]) and np.array_equal(steps, want[1])
 
 
+def test_walk_draws_stay_within_their_buffer(monkeypatch):
+    # Each block of a slab draws into a fixed buffer of 2 _BLOCK _WALK_ROWS
+    # uint64 (the draws and their scratch), however many walks the batch
+    # holds (unbounded slabs cost 17% more peak memory).
+    bound = 2 * collapse._BLOCK * collapse._WALK_ROWS
+    sizes, bits_at = [], collapse.bits_at
+
+    def recording_bits_at(keys, draw_indices, out, scratch):
+        sizes.append(out.size + scratch.size)
+        return bits_at(keys, draw_indices, out=out, scratch=scratch)
+
+    monkeypatch.setattr(collapse, "bits_at", recording_bits_at)
+    force_workers(monkeypatch, 1)
+    run_ruin_walks(build_markov_chain(60), 20, 13, 3 * collapse._WALK_ROWS)
+    assert sizes[:3] == [bound] * 3  # the first block's three full slabs
+    assert max(sizes) == bound and len(sizes) > 3
+
+
 def test_zero_walks_return_empty_arrays():
     absorbed, steps = run_ruin_walks(build_markov_chain(5), 2, seed=1, n_walks=0)
     assert absorbed.shape == steps.shape == (0,)
