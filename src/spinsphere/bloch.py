@@ -30,15 +30,15 @@ from .evolution import FieldParams, ZeroFieldError
 from .su2 import Spinor
 
 
-def _bloch_xyz(phi: Spinor) -> tuple[float, float, float]:
-    """The Bloch point of a unit state as three Python floats."""
-    cross = phi.c1 * phi.c2.conjugate()
-    return 2.0 * cross.real, -2.0 * cross.imag, abs(phi.c2) ** 2 - abs(phi.c1) ** 2
+def _bloch_xyz(c1: complex, c2: complex) -> tuple[float, float, float]:
+    """The Bloch point of the unit state (c1, c2) as three Python floats."""
+    cross = c1 * c2.conjugate()
+    return 2.0 * cross.real, -2.0 * cross.imag, abs(c2) ** 2 - abs(c1) ** 2
 
 
 def hopf_project(phi: Spinor) -> np.ndarray:
     """Project a unit state to its Bloch point, a (3,) array (x, y, z)."""
-    return np.array(_bloch_xyz(phi))
+    return np.array(_bloch_xyz(phi.c1, phi.c2))
 
 
 def spinor_from_bloch(b) -> Spinor:
@@ -74,7 +74,7 @@ def uncertainty_margin(phi: Spinor) -> float:
     Nonnegative for every unit Bloch vector; zero exactly at the z-axis
     poles and at equatorial points with x y = 0.
     """
-    x, y, z = _bloch_xyz(phi)
+    x, y, z = _bloch_xyz(phi.c1, phi.c2)
     x2, y2, z2 = x * x, y * y, z * z
     return (y2 + z2) * (x2 + z2) - z2
 

@@ -11,7 +11,8 @@ before it writes a file removes the directories it created for --out; one
 that existed before is left in place.  Exit status: 0 pass,
 1 threshold failure, 2 usage, configuration or output-directory error
 (including a collapse run that would more likely than not hit its step
-limit, and an integration of more than MAX_STEPS steps), 3 no convergence
+limit, an integration of more than MAX_STEPS steps, and a count over the
+count budget), 3 no convergence
 (a collapse trial or walk hit its step limit, or the lens search failed).
 
 Each configuration key is one entry of PARAMS (type, default, valid range,
@@ -62,7 +63,7 @@ from .lens import (
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
-from .su2 import Spinor, killing_inner
+from .su2 import Spinor, _unit_pair, killing_inner
 
 
 class Param(NamedTuple):
@@ -81,13 +82,18 @@ class Param(NamedTuple):
 # may take.  A run over it exits 2 before it allocates anything, whatever
 # the machine's memory, instead of running for hours until it is killed.
 MAX_STEPS = 10**7
+# The most items one count may ask for: --trials, --states and --planes each,
+# and markov's (delta_grid + 1)^2 chain cells.  A count over it exits 2 when
+# the configuration is read, before anything is allocated.
+_MAX_COUNT = 10**7
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+_COUNT = (lambda v: 0 < v <= _MAX_COUNT, f"must lie in [1, {_MAX_COUNT:.0e}]")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 PARAMS = {
     "seed": Param(int, 42, "base seed of every random stream"),
-    "trials": Param(int, 20_000, "collapse trials, or walks per start (markov)", _POSITIVE),
+    "trials": Param(int, 20_000, "collapse trials, or walks per start (markov)", _COUNT),
     "c1sq": Param(float, 0.5, "weight |c1|^2 of the first eigenstate", _UNIT),
     "a_sq": Param(float, 0.5, "weight of the (+,-) branch of the EPR pair", _UNIT),
     "t_final": Param(float, None, "evolution time; by default 1.0, and a quarter turn "
@@ -102,9 +108,11 @@ PARAMS = {
     "mu": Param(float, 1.0, "magnetic moment, nonzero"),
     "hbar": Param(float, 1.0, "reduced Planck constant, positive"),
     "planes": Param(int, 100, "random planes besides the 3 basis planes (curvature)",
-                    (lambda v: v >= 0, "must be >= 0")),
-    "states": Param(int, 10_000, "random states (uncertainty)", _POSITIVE),
-    "delta_grid": Param(int, 60, "intervals m >= 2 of the absorbing chain on [0, pi]"),
+                    (lambda v: 0 <= v <= _MAX_COUNT, f"must lie in [0, {_MAX_COUNT:.0e}]")),
+    "states": Param(int, 10_000, "random states (uncertainty)", _COUNT),
+    "delta_grid": Param(int, 60, "intervals m >= 2 of the absorbing chain on [0, pi]",
+                        (lambda v: v < math.isqrt(_MAX_COUNT),
+                         f"must keep (delta_grid + 1)^2 chain cells <= {_MAX_COUNT:.0e}")),
     "region_width": Param(float, math.pi / 48.0, "capture half-width in theta, in (0, pi/8]"),
     "region_alpha": Param(float, math.pi / 8.0, "capture half-width in alpha, in (0, pi/8]"),
     "region_beta": Param(float, math.pi / 8.0, "capture half-width in beta, in (0, pi/8]"),
@@ -253,8 +261,11 @@ def run_bloch(cfg, out_dir: Path) -> dict:
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
-    points = np.fromiter(
-        (_bloch_xyz(traj.spinor(i)) for i in range(len(traj))), (float, 3), len(traj))
+    # Each state as a Spinor would hold it; no list of every state is built.
+    points = np.empty((len(traj), 3))
+    flat, parts = memoryview(points.reshape(-1)), iter(traj.states.flat)
+    for j, c1, c2 in zip(range(0, 3 * len(traj), 3), parts, parts):
+        flat[j], flat[j + 1], flat[j + 2] = _bloch_xyz(*_unit_pair(c1, c2))
     norm_dev = float(np.abs(np.sqrt(np.vecdot(points, points)) - 1.0).max())
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
     phase_dev = float(np.abs(hopf_project(shifted) - hopf_project(phi0)).max())
@@ -384,7 +395,8 @@ def run_born(cfg, out_dir: Path) -> dict:
         write_csv(
             out_dir / "born_0.csv",
             ["trial", "eigenstate", "steps"],
-            zip(range(len(outcomes)), map(int, outcomes), map(int, steps)),
+            # A memoryview yields Python ints without a list of every row.
+            zip(range(len(outcomes)), memoryview(outcomes), memoryview(steps)),
         )
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
     return {

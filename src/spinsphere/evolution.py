@@ -106,9 +106,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def spinor(self, i: int) -> Spinor:
-        return Spinor(self.states[i, 0], self.states[i, 1])
-
 
 def evolve_exact(phi0: Spinor, p: FieldParams, t: float) -> Spinor:
     """Apply the closed-form propagator to phi0.
@@ -142,37 +139,6 @@ def speed_along(traj: Trajectory) -> np.ndarray:
     return np.linalg.norm(_velocity(traj.states, traj.meta), axis=1)
 
 
-def _gen_times(g, x):
-    """gen @ x for a complex pair x as (re, im) parts, rounded as BLAS's
-    zgemv rounds it: each row is the sum of two complex products z * x_j,
-    each (fma(z.re, x_j.re, -(z.im * x_j.im)), fma(z.re, x_j.im, z.im * x_j.re)).
-
-    g holds each entry z of the 2x2 matrix gen, row by row, as
-    (z.re, z.im, -z.im); -(z.im * y) is (-z.im) * y exactly."""
-    g00r, g00i, g00n, g01r, g01i, g01n, g10r, g10i, g10n, g11r, g11i, g11n = g
-    ar, ai, br, bi = x
-    return (
-        fma(g00r, ar, g00n * ai) + fma(g01r, br, g01n * bi),
-        fma(g00r, ai, g00i * ar) + fma(g01r, bi, g01i * br),
-        fma(g10r, ar, g10n * ai) + fma(g11r, br, g11n * bi),
-        fma(g10r, ai, g10i * ar) + fma(g11r, bi, g11i * br),
-    )
-
-
-def _plus_scaled(x, s, k):
-    """x + s * k for complex pairs x, k as (re, im) parts and a real s, as
-    numpy rounds it: s is promoted to s + 0j, and 0 * (the other part) sets
-    the sign of a zero."""
-    xar, xai, xbr, xbi = x
-    kar, kai, kbr, kbi = k
-    return (
-        xar + (s * kar - 0.0 * kai),
-        xai + (s * kai + 0.0 * kar),
-        xbr + (s * kbr - 0.0 * kbi),
-        xbi + (s * kbi + 0.0 * kbr),
-    )
-
-
 def integrate_numeric(
     phi0: Spinor, p: FieldParams, dt: float, n_steps: int
 ) -> Trajectory:
@@ -185,12 +151,18 @@ def integrate_numeric(
     The step runs on Python floats, the (re, im) parts of both
     components, with the formulas of the complex numpy step it replaced,
     in the same order, and with that step's roundings on a BLAS that uses
-    fused multiply-adds: `gen @ state` as `_gen_times`, each real times
-    complex as in `_plus_scaled`, the norm as
-    sqrt(fma(b.re, b.re, a.re * a.re) + fma(b.im, b.im, a.im * a.im)), and
-    the division by the norm as numpy's complex division, a multiply by
-    1/norm.  Each multiply-add is `floats.fma`, rounded once exactly, so
-    the bits no longer depend on the BLAS kernel of the machine.
+    fused multiply-adds.  Each k = gen @ x sums two complex products z * x_j
+    a row, each (fma(z.re, x_j.re, -(z.im * x_j.im)), fma(z.re, x_j.im,
+    z.im * x_j.re)); each real s times a complex k is numpy's promotion of s
+    to s + 0j, whose 0 * (the other part) sets the sign of a zero; the norm
+    is sqrt(fma(b.re, b.re, a.re * a.re) + fma(b.im, b.im, a.im * a.im)),
+    and the division by it numpy's complex division, a multiply by 1/norm.
+    Each multiply-add is `floats.fma`, rounded once exactly, so the bits no
+    longer depend on the BLAS kernel of the machine.  Where both diagonal,
+    or both off-diagonal, entries z of gen = i(mu/hbar) sigma.B have z.re = 0
+    (the diagonal for any finite field, the off-diagonal when B_y = 0), their
+    terms are written a * b + c: fma's own result for a zero factor, without
+    the call.
 
     Raises StepSizeError when dt * |omega| > 0.1 (accuracy guard) and
     ZeroFieldError for a vanishing field or an omega that underflows to 0.
@@ -206,29 +178,47 @@ def integrate_numeric(
             f"dt*|omega| = {dt * abs(p.omega):.3g} exceeds the 0.1 accuracy guard"
         )
     gen = (1j * p.mu / p.hbar) * p.sigma_dot_b
-    g = [part for z in gen.ravel().tolist() for part in (z.real, z.imag, -z.imag)]
+    (g00r, g00i), (g01r, g01i), (g10r, g10i), (g11r, g11i) = (
+        (z.real, z.imag) for z in gen.ravel().tolist())
+    # -(z.im * y) is (-z.im) * y exactly.
+    g00n, g01n, g10n, g11n = -g00i, -g01i, -g10i, -g11i
+    diag, off = g00r == 0.0 == g11r, g01r == 0.0 == g10r
     half, sixth = 0.5 * dt, dt / 6.0
-    state = (phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag)
+    stages = ((half, 1), (half, 2), (dt, 3), (sixth, 4))
+    ar, ai, br, bi = phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag
     # Allocated before the loop, so a step count too large to hold fails here.
     states = np.empty((n_steps + 1, 2), dtype=complex)
     flat = memoryview(states.view(float).reshape(-1))
-    flat[0], flat[1], flat[2], flat[3] = state
+    flat[0], flat[1], flat[2], flat[3] = ar, ai, br, bi
     max_drift = 0.0
     for j in range(4, 4 * n_steps + 4, 4):
-        k1 = _gen_times(g, state)
-        k2 = _gen_times(g, _plus_scaled(state, half, k1))
-        k3 = _gen_times(g, _plus_scaled(state, half, k2))
-        k4 = _gen_times(g, _plus_scaled(state, dt, k3))
-        # k1 + 2 k2 + 2 k3 + k4, added left to right
-        partial = _plus_scaled(_plus_scaled(k1, 2.0, k2), 2.0, k3)
-        total = (partial[0] + k4[0], partial[1] + k4[1], partial[2] + k4[2], partial[3] + k4[3])
-        ar, ai, br, bi = _plus_scaled(state, sixth, total)
-        norm = math.sqrt(fma(br, br, ar * ar) + fma(bi, bi, ai * ai))
+        # Stage k: k = gen @ x, then x = state + s * (k, or at the last stage
+        # k1 + 2 k2 + 2 k3 + k4, added left to right).
+        xar, xai, xbr, xbi = ar, ai, br, bi
+        for s, stage in stages:
+            kar = ((g00r * xar + g00n * xai if diag else fma(g00r, xar, g00n * xai))
+                   + (g01r * xbr + g01n * xbi if off else fma(g01r, xbr, g01n * xbi)))
+            kai = ((g00r * xai + g00i * xar if diag else fma(g00r, xai, g00i * xar))
+                   + (g01r * xbi + g01i * xbr if off else fma(g01r, xbi, g01i * xbr)))
+            kbr = ((g10r * xar + g10n * xai if off else fma(g10r, xar, g10n * xai))
+                   + (g11r * xbr + g11n * xbi if diag else fma(g11r, xbr, g11n * xbi)))
+            kbi = ((g10r * xai + g10i * xar if off else fma(g10r, xai, g10i * xar))
+                   + (g11r * xbi + g11i * xbr if diag else fma(g11r, xbi, g11i * xbr)))
+            if stage == 1:
+                tar, tai, tbr, tbi = kar, kai, kbr, kbi
+            elif stage < 4:
+                tar, tai = tar + (2.0 * kar - 0.0 * kai), tai + (2.0 * kai + 0.0 * kar)
+                tbr, tbi = tbr + (2.0 * kbr - 0.0 * kbi), tbi + (2.0 * kbi + 0.0 * kbr)
+            else:
+                kar, kai, kbr, kbi = tar + kar, tai + kai, tbr + kbr, tbi + kbi
+            xar, xai = ar + (s * kar - 0.0 * kai), ai + (s * kai + 0.0 * kar)
+            xbr, xbi = br + (s * kbr - 0.0 * kbi), bi + (s * kbi + 0.0 * kbr)
+        norm = math.sqrt(fma(xbr, xbr, xar * xar) + fma(xbi, xbi, xai * xai))
         max_drift = max(max_drift, abs(norm - 1.0))
         inv = 1.0 / norm  # numpy divides by norm + 0j: (re + im * 0) / norm
-        state = ((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv,
-                 (br + bi * 0.0) * inv, (bi - br * 0.0) * inv)
-        flat[j], flat[j + 1], flat[j + 2], flat[j + 3] = state
+        ar, ai = (xar + xai * 0.0) * inv, (xai - xar * 0.0) * inv
+        br, bi = (xbr + xbi * 0.0) * inv, (xbi - xbr * 0.0) * inv
+        flat[j], flat[j + 1], flat[j + 2], flat[j + 3] = ar, ai, br, bi
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, states, p, max_drift)
 

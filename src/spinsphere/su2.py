@@ -47,11 +47,9 @@ class Spinor:
     c2: complex
 
     def __post_init__(self):
-        n = math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
-        if not math.isfinite(n) or n == 0.0:
-            raise ValueError("cannot normalize a zero or non-finite spinor")
-        object.__setattr__(self, "c1", complex(self.c1) / n)
-        object.__setattr__(self, "c2", complex(self.c2) / n)
+        c1, c2 = _unit_pair(self.c1, self.c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     @property
     def vector(self) -> np.ndarray:
@@ -60,6 +58,14 @@ class Spinor:
     def inner(self, other: "Spinor") -> complex:
         """Hermitian inner product (self, other) = sum_k self_k conj(other_k)."""
         return self.c1 * other.c1.conjugate() + self.c2 * other.c2.conjugate()
+
+
+def _unit_pair(c1, c2) -> tuple[complex, complex]:
+    """(c1, c2) divided by its norm, as Spinor holds it, without the instance."""
+    n = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
+    if not math.isfinite(n) or n == 0.0:
+        raise ValueError("cannot normalize a zero or non-finite spinor")
+    return complex(c1) / n, complex(c2) / n
 
 
 def killing_inner(x, y):

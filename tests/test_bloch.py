@@ -16,13 +16,14 @@ from test_acceptance import fs_distance, transition_probability
 
 from spinsphere import cli
 from spinsphere.bloch import (
+    _bloch_xyz,
     energy_uncertainty,
     hopf_project,
     spinor_from_bloch,
     uncertainty_margin,
 )
 from spinsphere.cli import main
-from spinsphere.evolution import FieldParams, evolve_exact
+from spinsphere.evolution import FieldParams, evolve_exact, integrate_numeric
 from spinsphere.su2 import PAULI, Spinor
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -344,6 +345,26 @@ def test_bloch_cli_matches_scalar_projection_bit_for_bit(tmp_path, case):
     ).max())
     metrics = json.loads((tmp_path / "bloch" / "bloch_report.json").read_text())["metrics"]
     assert metrics == {"norm_deviation": norm_dev, "phase_invariance": phase_dev}
+
+
+def test_bloch_points_are_those_of_a_spinor_per_state(tmp_path, monkeypatch):
+    # run_bloch projects the trajectory's states without making a Spinor of
+    # each; every point must still be the projection of its row's Spinor.
+    trajs, rows = [], []
+
+    def integrate(*args):
+        trajs.append(integrate_numeric(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "integrate_numeric", integrate)
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, data: rows.extend(data))
+    assert main(["bloch", "--c1sq", "0.3", "--bx", "0.4", "--by", "-1.2", "--bz", "0.7",
+                 "--mu", "-0.8", "--hbar", "1.3", "--out", str(tmp_path)]) == 0
+    (traj,) = trajs
+    expected = [_bloch_xyz(phi.c1, phi.c2)
+                for phi in (Spinor(c1, c2) for c1, c2 in traj.states)]
+    assert len(rows) == len(traj) == 1001
+    assert np.array(rows)[:, 1:].tobytes() == np.array(expected).tobytes()
 
 
 def _scalar_margin(phi):

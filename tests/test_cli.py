@@ -114,6 +114,10 @@ def test_invalid_value_exits_2(tmp_path):
         (["bloch", "--dt", "1e-8"], None),
         (["e2-split", "--t-final", "1e5", "--trials", "100"], None),
         (["lens", "--span", "1e5"], None),
+        # Over the count budget of 1e7 items: refused before anything is allocated.
+        (["born", "--trials", "1000000000"], None),
+        (["uncertainty", "--states", "1000000000"], None),
+        (["markov", "--delta-grid", "30000"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
@@ -129,7 +133,8 @@ def test_invalid_value_exits_2(tmp_path):
          "evolve-b-square-overflow", "bloch-b-square-overflow", "e2-split-b-square-overflow",
          "evolve-omega-underflow", "evolve-dt-step-count", "bloch-dt-step-count",
          "e2-split-t-final-step-count", "lens-span-step-count", "evolve-dt-step-bound",
-         "bloch-dt-step-bound", "e2-split-t-final-step-bound", "lens-span-step-bound"],
+         "bloch-dt-step-bound", "e2-split-t-final-step-bound", "lens-span-step-bound",
+         "born-trials-budget", "uncertainty-states-budget", "markov-delta-grid-budget"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -282,13 +287,13 @@ def test_runs_are_refused_from_a_timeout_chance_of_one_half(tmp_path, monkeypatc
 
 
 def test_oversized_planes_fails_fast(tmp_path, capsys):
-    # All planes are drawn as one (planes, 2, 3) array; 6e13 float64 draws
-    # (437 TiB) exceed the address space, so the allocation fails at once.
+    # All planes are drawn as one (planes, 2, 3) array; the count budget
+    # refuses 1e13 planes (437 TiB of draws) before anything is allocated.
     assert run_cli(["curvature", "--planes", "10000000000000",
                     "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: curvature: out of memory (")
+    assert captured.err == "error: planes must lie in [0, 1e+07], got 10000000000000\n"
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
 

@@ -25,6 +25,7 @@ from spinsphere.evolution import (
     speed_along,
 )
 from spinsphere.cli import main
+from spinsphere.floats import fma
 from spinsphere.lens import design_lens
 from spinsphere.su2 import PAULI, Spinor
 
@@ -69,6 +70,65 @@ def numpy_rk4(phi0, p, dt, n_steps):
         state = state / norm
         states[k + 1] = state
     return states, max_drift
+
+
+def _gen_times(g, x):
+    """gen @ x for a complex pair x as (re, im) parts, rounded as BLAS's
+    zgemv rounds it: each row is the sum of two complex products z * x_j,
+    each (fma(z.re, x_j.re, -(z.im * x_j.im)), fma(z.re, x_j.im, z.im * x_j.re)).
+
+    g holds each entry z of the 2x2 matrix gen, row by row, as
+    (z.re, z.im, -z.im); -(z.im * y) is (-z.im) * y exactly."""
+    g00r, g00i, g00n, g01r, g01i, g01n, g10r, g10i, g10n, g11r, g11i, g11n = g
+    ar, ai, br, bi = x
+    return (
+        fma(g00r, ar, g00n * ai) + fma(g01r, br, g01n * bi),
+        fma(g00r, ai, g00i * ar) + fma(g01r, bi, g01i * br),
+        fma(g10r, ar, g10n * ai) + fma(g11r, br, g11n * bi),
+        fma(g10r, ai, g10i * ar) + fma(g11r, bi, g11i * br),
+    )
+
+
+def _plus_scaled(x, s, k):
+    """x + s * k for complex pairs x, k as (re, im) parts and a real s, as
+    numpy rounds it: s is promoted to s + 0j, and 0 * (the other part) sets
+    the sign of a zero."""
+    xar, xai, xbr, xbi = x
+    kar, kai, kbr, kbi = k
+    return (
+        xar + (s * kar - 0.0 * kai),
+        xai + (s * kai + 0.0 * kar),
+        xbr + (s * kbr - 0.0 * kbi),
+        xbi + (s * kbi + 0.0 * kbr),
+    )
+
+
+def fma_rk4(phi0, p, dt, n_steps):
+    """The integrator's step with every term of gen @ x through `fma`,
+    whatever gen's entries: the oracle for the terms it writes a * b + c.
+    Returns the states of shape (n_steps + 1, 2) and the largest norm drift."""
+    gen = (1j * p.mu / p.hbar) * p.sigma_dot_b
+    g = [part for z in gen.ravel().tolist() for part in (z.real, z.imag, -z.imag)]
+    half, sixth = 0.5 * dt, dt / 6.0
+    state = (phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag)
+    rows = [state]
+    max_drift = 0.0
+    for _ in range(n_steps):
+        k1 = _gen_times(g, state)
+        k2 = _gen_times(g, _plus_scaled(state, half, k1))
+        k3 = _gen_times(g, _plus_scaled(state, half, k2))
+        k4 = _gen_times(g, _plus_scaled(state, dt, k3))
+        # k1 + 2 k2 + 2 k3 + k4, added left to right
+        partial = _plus_scaled(_plus_scaled(k1, 2.0, k2), 2.0, k3)
+        total = tuple(a + b for a, b in zip(partial, k4))
+        ar, ai, br, bi = _plus_scaled(state, sixth, total)
+        norm = math.sqrt(fma(br, br, ar * ar) + fma(bi, bi, ai * ai))
+        max_drift = max(max_drift, abs(norm - 1.0))
+        inv = 1.0 / norm  # numpy divides by norm + 0j: (re + im * 0) / norm
+        state = ((ar + ai * 0.0) * inv, (ai - ar * 0.0) * inv,
+                 (br + bi * 0.0) * inv, (bi - br * 0.0) * inv)
+        rows.append(state)
+    return np.array(rows).view(complex), max_drift
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +281,7 @@ def test_integrate_zero_steps():
     phi0 = Spinor(1.0, 0.0)
     traj = integrate_numeric(phi0, FieldParams((0, 0, 1)), 1e-3, 0)
     assert len(traj) == 1
-    assert close_to(traj.spinor(0), phi0, 0.0)
+    assert close_to(Spinor(*traj.states[0]), phi0, 0.0)
 
 
 def test_integrate_matches_exact_terminal():
@@ -265,6 +325,29 @@ def test_integrate_matches_the_numpy_step(phi0, p):
     states, max_drift = numpy_rk4(phi0, p, 1e-4, 10_000)
     assert np.abs(traj.states - states).max() < 1e-12
     assert abs(traj.max_drift - max_drift) < 1e-12
+
+
+@pytest.mark.parametrize("phi0, p", [
+    (Spinor(math.sqrt(0.3), math.sqrt(0.7)), FieldParams((0.0, 0.0, 1.0))),
+    (Spinor(0.9, math.sqrt(0.19)), FieldParams((0.3, -0.7, 0.2), mu=-1.7)),
+    (Spinor(0.6 - 0.2j, 0.1 + 0.7j), FieldParams((-1.1, 0.4, 0.8), mu=0.6, hbar=1.3)),
+    (Spinor(1.0, 0.0), FieldParams((0.4, 0.0, -0.7), mu=-0.8, hbar=2.5)),
+    (Spinor(0.0, 1.0), FieldParams((0.0, 0.0, -1.0), mu=-1.3)),
+    (Spinor(1.0, 0.0), FieldParams((0.0, 0.0, 1.0), mu=2.0, hbar=0.7)),
+    (Spinor(0.0, 1.0), FieldParams((0.5, 1.2, -0.3), mu=-0.4, hbar=3.0)),
+], ids=["z-field", "off-axis-mu-negative", "off-axis-hbar", "by-zero-eigenstate-up",
+        "z-field-eigenstate-down", "z-field-eigenstate-up", "off-axis-eigenstate-down"])
+@pytest.mark.parametrize("n_steps", [4, 2000])
+def test_integrate_matches_the_fma_step_bit_for_bit(phi0, p, n_steps):
+    # Terms whose gen entry has a zero real part skip fma in the integrator;
+    # the oracle rounds every term with fma.  States, signed zeros included,
+    # and the drift must agree to the bit.  At dt |omega| = 0.05, 2,000 steps
+    # separate the two on an off-diagonal term rounded twice.
+    dt = 0.05 / abs(p.omega)
+    traj = integrate_numeric(phi0, p, dt, n_steps)
+    states, max_drift = fma_rk4(phi0, p, dt, n_steps)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.max_drift == max_drift
 
 
 @pytest.mark.parametrize(
