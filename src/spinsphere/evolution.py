@@ -158,11 +158,10 @@ def integrate_numeric(
     is sqrt(fma(b.re, b.re, a.re * a.re) + fma(b.im, b.im, a.im * a.im)),
     and the division by it numpy's complex division, a multiply by 1/norm.
     Each multiply-add is `floats.fma`, rounded once exactly, so the bits no
-    longer depend on the BLAS kernel of the machine.  Where both diagonal,
-    or both off-diagonal, entries z of gen = i(mu/hbar) sigma.B have z.re = 0
-    (the diagonal for any finite field, the off-diagonal when B_y = 0), their
-    terms are written a * b + c: fma's own result for a zero factor, without
-    the call.
+    longer depend on the BLAS kernel of the machine.  The diagonal entries
+    of gen = i(mu/hbar) sigma.B have real part +-0 (or nan), and so do the
+    off-diagonal ones when B_y = 0; their terms are written a * b + c,
+    fma's own result for such a factor, without the call.
 
     Raises StepSizeError when dt * |omega| > 0.1 (accuracy guard) and
     ZeroFieldError for a vanishing field or an omega that underflows to 0.
@@ -182,7 +181,7 @@ def integrate_numeric(
         (z.real, z.imag) for z in gen.ravel().tolist())
     # -(z.im * y) is (-z.im) * y exactly.
     g00n, g01n, g10n, g11n = -g00i, -g01i, -g10i, -g11i
-    diag, off = g00r == 0.0 == g11r, g01r == 0.0 == g10r
+    off = g01r == 0.0 == g10r
     half, sixth = 0.5 * dt, dt / 6.0
     stages = ((half, 1), (half, 2), (dt, 3), (sixth, 4))
     ar, ai, br, bi = phi0.c1.real, phi0.c1.imag, phi0.c2.real, phi0.c2.imag
@@ -196,14 +195,14 @@ def integrate_numeric(
         # k1 + 2 k2 + 2 k3 + k4, added left to right).
         xar, xai, xbr, xbi = ar, ai, br, bi
         for s, stage in stages:
-            kar = ((g00r * xar + g00n * xai if diag else fma(g00r, xar, g00n * xai))
+            kar = ((g00r * xar + g00n * xai)
                    + (g01r * xbr + g01n * xbi if off else fma(g01r, xbr, g01n * xbi)))
-            kai = ((g00r * xai + g00i * xar if diag else fma(g00r, xai, g00i * xar))
+            kai = ((g00r * xai + g00i * xar)
                    + (g01r * xbi + g01i * xbr if off else fma(g01r, xbi, g01i * xbr)))
             kbr = ((g10r * xar + g10n * xai if off else fma(g10r, xar, g10n * xai))
-                   + (g11r * xbr + g11n * xbi if diag else fma(g11r, xbr, g11n * xbi)))
+                   + (g11r * xbr + g11n * xbi))
             kbi = ((g10r * xai + g10i * xar if off else fma(g10r, xai, g10i * xar))
-                   + (g11r * xbi + g11i * xbr if diag else fma(g11r, xbi, g11i * xbr)))
+                   + (g11r * xbi + g11i * xbr))
             if stage == 1:
                 tar, tai, tbr, tbi = kar, kai, kbr, kbi
             elif stage < 4:

@@ -7,11 +7,11 @@ to 3.12 have no `math.fma`, so `fma` computes it: Veltkamp/Dekker
 splitting gives the product's rounding error exactly, and `math.fsum`
 rounds the exact three-term sum once.
 
-When a factor is 0, `fma` returns a * b + c itself, so a caller may write
-that expression without the call.  The RK4 step
-(`evolution.integrate_numeric`) does so for every term whose generator
-entry has a zero real part: the diagonal for any finite field, the
-off-diagonal when B_y = 0.
+When a factor is 0, inf or nan, `fma` returns a * b + c itself, so a
+caller may write that expression without the call.  The RK4 step
+(`evolution.integrate_numeric`) does so for the terms whose generator
+entry has real part +-0 or nan: the diagonal ones, and the off-diagonal
+ones when B_y = 0.
 """
 
 from __future__ import annotations
