@@ -5,8 +5,9 @@ Usage:
 
 Each run writes <experiment>_report.json (metrics, thresholds, pass flags,
 and the fully resolved configuration, so any result can be re-run from its
-own report) plus CSV data files <experiment>_<index>.csv into the output
-directory, and prints a one-line pass/fail summary.  A run that fails
+own report) and at most one data file, <experiment>_0.csv, into the output
+directory, and prints a one-line pass/fail summary; uncertainty, epr, and
+born without --outcomes-csv write no CSV.  A run that fails
 before it writes a file removes the directories it created for --out; one
 that existed before is left in place.  Exit status: 0 pass,
 1 threshold failure, 2 usage, configuration or output-directory error
@@ -203,28 +204,22 @@ def _trajectory(cfg, phi0: Spinor, params: FieldParams, t_default: float):
     return integrate_numeric(phi0, params, cfg["t_final"] / n_steps, n_steps)
 
 
-def _finish(report: dict, out_dir: Path, experiment: str) -> int:
-    passed = all(report["checks"].values())
-    report["pass"] = passed
-    write_json_report(out_dir / f"{experiment.replace('-', '_')}_report.json", report)
-    status = "PASS" if passed else "FAIL"
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    detail = "" if passed else f" failed={','.join(failed)}"
-    print(f"{experiment}: {status}{detail}")
-    return 0 if passed else 1
+def _rows(*columns):
+    """Rows of equal-length columns, each a range or a 1-D float64 or integer
+    array.  A memoryview yields the Python scalars .tolist() gives, strided
+    columns included, without a copy of any column."""
+    return zip(*(c if isinstance(c, range) else memoryview(c) for c in columns))
 
 
-def _trajectory_rows(traj):
-    """(t, re c1, im c1, re c2, im c2) rows as float lists, one at a time."""
-    for row in np.column_stack([traj.times, traj.states.view(float)]):
-        yield row.tolist()
+_TRAJECTORY_HEADER = ["t", "re_c1", "im_c1", "re_c2", "im_c2"]
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments: each returns (table, body).  table is None or (header, rows)
+# of <experiment>_0.csv; body holds the report's metrics, thresholds and checks.
 # ---------------------------------------------------------------------------
 
-def run_evolve(cfg, out_dir: Path) -> dict:
+def run_evolve(cfg):
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
@@ -232,12 +227,8 @@ def run_evolve(cfg, out_dir: Path) -> dict:
     terminal_error = float(np.abs(traj.states[-1] - exact.vector).max())
     speed_dev = float(np.abs(speed_along(traj) - evolution_speed(params)).max())
     planarity = geodesic_planarity(traj)
-    write_csv(
-        out_dir / "evolve_0.csv",
-        ["t", "re_c1", "im_c1", "re_c2", "im_c2"],
-        _trajectory_rows(traj),
-    )
-    return {
+    table = _TRAJECTORY_HEADER, _rows(traj.times, *traj.states.view(float).T)
+    return table, {
         "metrics": {
             "terminal_error": terminal_error,
             "speed_deviation": speed_dev,
@@ -257,7 +248,7 @@ def run_evolve(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_bloch(cfg, out_dir: Path) -> dict:
+def run_bloch(cfg):
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
@@ -269,12 +260,7 @@ def run_bloch(cfg, out_dir: Path) -> dict:
     norm_dev = float(np.abs(np.sqrt(np.vecdot(points, points)) - 1.0).max())
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
     phase_dev = float(np.abs(hopf_project(shifted) - hopf_project(phi0)).max())
-    write_csv(
-        out_dir / "bloch_0.csv",
-        ["t", "x", "y", "z"],
-        (row.tolist() for row in np.column_stack([traj.times, points])),
-    )
-    return {
+    return (["t", "x", "y", "z"], _rows(traj.times, *points.T)), {
         "metrics": {"norm_deviation": norm_dev, "phase_invariance": phase_dev},
         "thresholds": {"norm_deviation": 1e-12, "phase_invariance": 1e-12},
         "checks": {
@@ -284,7 +270,7 @@ def run_bloch(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_curvature(cfg, out_dir: Path) -> dict:
+def run_curvature(cfg):
     rng = np.random.default_rng(cfg["seed"])
     basis = np.eye(3)
     planes = np.concatenate([
@@ -297,9 +283,7 @@ def run_curvature(cfg, out_dir: Path) -> dict:
     lhs, rhs = commutator_curvature_identity(x, y_perp)
     worst_sectional = float(np.abs(k - 1.0).max())
     worst_identity = float(np.abs(lhs - rhs).max())
-    write_csv(out_dir / "curvature_0.csv", ["plane", "sectional_curvature"],
-              enumerate(k.tolist()))
-    return {
+    return (["plane", "sectional_curvature"], _rows(range(len(k)), k)), {
         "metrics": {
             "max_sectional_deviation": worst_sectional,
             "max_commutator_identity_error": worst_identity,
@@ -349,7 +333,7 @@ def _min_margin(rng, n):
     return worst
 
 
-def run_uncertainty(cfg, out_dir: Path) -> dict:
+def run_uncertainty(cfg):
     rng = np.random.default_rng(cfg["seed"])
     worst_margin = _min_margin(rng, cfg["states"])
     errors = []
@@ -369,7 +353,7 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
             errors.append(abs(energy_uncertainty(phi, params) - direct) / max(1.0, abs(cfg["mu"])))
     worst_energy = float(np.max(errors))
     eigen_margin = uncertainty_margin(Spinor(1.0, 0.0))
-    return {
+    return None, {
         "metrics": {
             "min_margin": worst_margin,
             "margin_at_eigenstate": eigen_margin,
@@ -387,26 +371,22 @@ def run_uncertainty(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_born(cfg, out_dir: Path) -> dict:
+def run_born(cfg):
     phi = _weighted_state(cfg["c1sq"])
     outcomes, steps = run_collapse_batch(phi, _region(cfg, phi), cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, cfg["c1sq"])
+    table = None
     if cfg["outcomes_csv"]:
-        write_csv(
-            out_dir / "born_0.csv",
-            ["trial", "eigenstate", "steps"],
-            # A memoryview yields Python ints without a list of every row.
-            zip(range(len(outcomes)), memoryview(outcomes), memoryview(steps)),
-        )
+        table = ["trial", "eigenstate", "steps"], _rows(range(len(outcomes)), outcomes, steps)
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
-    return {
+    return table, {
         "metrics": {**stats, "mean_steps": float(steps.mean())},
         "thresholds": {"abs_z_max": 3.0},
         "checks": {"born_frequencies": z_ok},
     }
 
 
-def run_markov(cfg, out_dir: Path) -> dict:
+def run_markov(cfg):
     m = cfg["delta_grid"]
     chain = build_markov_chain(m)
     exact = absorption_probabilities(chain)
@@ -422,11 +402,9 @@ def run_markov(cfg, out_dir: Path) -> dict:
         mc_freq[start] = freq
         sigma = math.sqrt(max(exact[start] * (1 - exact[start]), 1e-12) / n_walks)
         z_worst = max(z_worst, abs(freq - exact[start]) / sigma)
-    rows = []
-    for i in range(m + 1):
-        rows.append((float(chain.thetas[i]), float(exact[i]), mc_freq.get(i, "")))
-    write_csv(out_dir / "markov_0.csv", ["theta", "exact_u", "mc_frequency"], rows)
-    return {
+    rows = zip(memoryview(chain.thetas), memoryview(exact),
+               (mc_freq.get(i, "") for i in range(m + 1)))
+    return (["theta", "exact_u", "mc_frequency"], rows), {
         "metrics": {
             "oracle_max_error": oracle_error,
             "walk_starts": starts,
@@ -441,7 +419,7 @@ def run_markov(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_lens(cfg, out_dir: Path) -> dict:
+def run_lens(cfg):
     target = (cfg["span"], cfg["displacement"])
     _check_steps(2.5 * math.hypot(*target) / LENS_DTAU + 10, "the lens ray")
     design = design_lens(target)
@@ -450,13 +428,8 @@ def run_lens(cfg, out_dir: Path) -> dict:
     ray = design.ray[: n_steps + 1]
     q, v = ray[:, 0], ray[:, 1]
     taus = LENS_DTAU * np.arange(n_steps + 1)
-    write_csv(
-        out_dir / "lens_0.csv",
-        ["tau", "q0", "q1", "energy"],
-        zip(taus.tolist(), q[:, 0].tolist(), q[:, 1].tolist(),
-            ray_energy(q, v, design.field).tolist()),
-    )
-    return {
+    rows = _rows(taus, q[:, 0], q[:, 1], ray_energy(q, v, design.field))
+    return (["tau", "q0", "q1", "energy"], rows), {
         "metrics": {
             "miss_distance": design.miss,
             "amplitude": design.amplitude,
@@ -468,7 +441,7 @@ def run_lens(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_epr(cfg, out_dir: Path) -> dict:
+def run_epr(cfg):
     a_sq = cfg["a_sq"]
     state = SingletSectorState(math.sqrt(a_sq), math.sqrt(1.0 - a_sq))
     region = _region(cfg, state.effective_spinor)
@@ -477,7 +450,7 @@ def run_epr(cfg, out_dir: Path) -> dict:
     freq = stats["counts_plus_minus"] / stats["n_trials"]
     sigma = math.sqrt(max(a_sq * (1 - a_sq), 1e-12) / stats["n_trials"])
     z = (freq - a_sq) / sigma if sigma > 0 else 0.0
-    return {
+    return None, {
         "metrics": {**stats, "frequency_plus_minus": freq, "z_score": z},
         "thresholds": {"anti_correlation_violations": 0, "abs_z_max": 3.0},
         "checks": {
@@ -487,7 +460,7 @@ def run_epr(cfg, out_dir: Path) -> dict:
     }
 
 
-def run_e2_split(cfg, out_dir: Path) -> dict:
+def run_e2_split(cfg):
     # Field along the negative Y axis takes the spin-up state through
     # (cos wt, sin wt) with w = mu b0 / hbar; a quarter period of
     # pi/(4 |w|) lands on the equal superposition (1, sign(w))/sqrt(2),
@@ -509,12 +482,8 @@ def run_e2_split(cfg, out_dir: Path) -> dict:
     outcomes, steps = run_collapse_batch(terminal, region, cfg["seed"], cfg["trials"])
     stats = born_statistics(outcomes, 0.5)
     z_ok = all(abs(z) <= 3.0 for z in stats["z_scores"])
-    write_csv(
-        out_dir / "e2_split_0.csv",
-        ["t", "re_c1", "im_c1", "re_c2", "im_c2"],
-        _trajectory_rows(traj),
-    )
-    return {
+    table = _TRAJECTORY_HEADER, _rows(traj.times, *traj.states.view(float).T)
+    return table, {
         "metrics": {
             "terminal_state_error": split_error,
             "numeric_vs_exact": float(np.abs(traj.states[-1] - terminal.vector).max()),
@@ -576,9 +545,18 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
-        body = RUNNERS[args.experiment](cfg, out_dir)
-        report = {"experiment": args.experiment, "seed": cfg["seed"], "config": cfg, **body}
-        return _finish(report, out_dir, args.experiment)
+        table, body = RUNNERS[experiment](cfg)
+        stem = experiment.replace("-", "_")
+        if table:
+            write_csv(out_dir / f"{stem}_0.csv", *table)
+        checks = body["checks"]
+        passed = all(checks.values())
+        report = {"experiment": experiment, "seed": cfg["seed"], "config": cfg, **body,
+                  "pass": passed}
+        write_json_report(out_dir / f"{stem}_report.json", report)
+        failed = "" if passed else " failed=" + ",".join(k for k, ok in checks.items() if not ok)
+        print(f"{experiment}: {'PASS' if passed else 'FAIL'}{failed}")
+        return 0 if passed else 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,8 @@ from .su2 import Spinor
 
 TWO_PI = 2.0 * math.pi
 _REGION_MAX = math.pi / 8.0
+# The step limit of a collapse trial, in every function that runs or scores one.
+MAX_TRIAL_STEPS = 1_000_000
 _TWO53 = 2**53
 # The capture kernel advances trials in blocks of _BLOCK ticks and mixes the
 # theta draws of at most _ROWS trials at a time, so that its two uint64
@@ -220,7 +222,7 @@ def capture_law(phi: Spinor, region: CaptureRegion) -> tuple[Fraction, Fraction]
 
 
 def timeout_chance(phi: Spinor, region: CaptureRegion, n_trials: int,
-                   max_steps: int = 1_000_000) -> float:
+                   max_steps: int = MAX_TRIAL_STEPS) -> float:
     """Chance by capture_law that run_collapse_batch(phi, region, seed,
     n_trials, max_steps) has a trial that exceeds max_steps.
 
@@ -348,7 +350,7 @@ def run_collapse_trial(
     phi: Spinor,
     region: CaptureRegion,
     rng: TrialStream,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_TRIAL_STEPS,
 ) -> CollapseOutcome:
     """Run one single-push measurement trial.
 
@@ -377,7 +379,7 @@ def run_collapse_batch(
     region: CaptureRegion,
     seed: int,
     n_trials: int,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_TRIAL_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run n_trials independent trials; returns (eigenstates, steps).
 

@@ -1,6 +1,7 @@
 """CLI harness tests: exit codes, reproducibility, config precedence."""
 
 import ast
+import hashlib
 import json
 import math
 import warnings
@@ -40,8 +41,11 @@ def test_every_experiment_passes(tmp_path):
         out = tmp_path / name
         code = run_cli([name, "--out", str(out), *extra])
         assert code == 0, name
-        report_name = f"{name.replace('-', '_')}_report.json"
-        report = json.loads((out / report_name).read_text())
+        stem = name.replace("-", "_")
+        # One CSV at most; born writes its own only with --outcomes-csv.
+        csv = [] if name in ("uncertainty", "born", "epr") else [f"{stem}_0.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [*csv, f"{stem}_report.json"], name
+        report = json.loads((out / f"{stem}_report.json").read_text())
         assert report["pass"] is True
         assert report["experiment"] == name
         assert report["config"]["seed"] == 42  # echo of resolved config
@@ -365,6 +369,14 @@ def test_reruns_are_byte_identical(tmp_path):
     for out in (m_a, m_b):
         assert run_cli(["markov", "--trials", "2000", "--out", str(out)]) == 0
     assert read_bytes_map(m_a) == read_bytes_map(m_b)
+
+
+def test_born_outcomes_csv_golden(tmp_path):
+    # Per-trial outcomes and step counts are integers: the same on every machine.
+    assert run_cli(["born", "--trials", "3000", "--outcomes-csv", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["born_0.csv", "born_report.json"]
+    digest = hashlib.sha256((tmp_path / "born_0.csv").read_bytes()).hexdigest()
+    assert digest == "18aa86d02533caeed6c73f58178c745a3a73c4045c811907dad82f20af521a98"
 
 
 def test_seed_changes_output(tmp_path):

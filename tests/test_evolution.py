@@ -360,13 +360,17 @@ def test_integrate_matches_the_fma_step_bit_for_bit(phi0, p, n_steps):
          "024d25255476254eae189711261e4a60671518a0e5cc4c98d13113b75c9316b3"),
         (["e2-split", "--trials", "2000"], "e2_split_0.csv",
          "6a11517ca5ea58a21411a62eff36165b3eda2bb9f3f032861e374d1d207a550e"),
+        (["bloch", "--bx", "0.4", "--by", "-1.2", "--bz", "0.7", "--mu", "-0.8",
+          "--hbar", "1.3", "--c1sq", "0.3"], "bloch_0.csv",
+         "9c0b72e9a1f64d12a11ceae1816845cf6859ebe8658f1b7396118295fc48be8c"),
     ],
-    ids=["evolve-off-axis", "evolve-eigenstate", "e2-split"],
+    ids=["evolve-off-axis", "evolve-eigenstate", "e2-split", "bloch-off-axis"],
 )
 def test_trajectory_csv_golden(tmp_path, argv, csv, digest):
-    # Bit-exact pins of the integrator's trajectory, the same under every
-    # BLAS kernel: off axis every multiply-add rounds once, and the
-    # eigenstate keeps its zero component's signs.
+    # Bit-exact pins of the integrator's trajectory, and of its projection
+    # to the Bloch sphere, the same under every BLAS kernel: off axis every
+    # multiply-add rounds once, and the eigenstate keeps its zero
+    # component's signs.
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
 
