@@ -13,11 +13,12 @@ uncertainty statements below are unaffected by that orientation choice,
 and the energy spread, which depends on the field axis, is evaluated
 through eigenbasis amplitudes so no sign convention can leak in.
 
-A Bloch point is a plain ``(3,)`` float array ``(x, y, z)``.  The scalar
-functions below do their arithmetic in Python floats, on the point of a
-state as three floats (no array built) or on an array unpacked with
-``.tolist()``: numpy's complex ``abs`` and ``pow`` round differently from
-Python's, so a vectorized form would not reproduce the same bits.
+A Bloch point is a plain ``(3,)`` float array ``(x, y, z)``.  The point
+and margin functions do their arithmetic in Python floats.  numpy's
+``np.abs`` of a complex array and array ``**`` round differently from
+Python's ``abs`` and ``pow``, but ``np.hypot`` of the parts and
+``np.float_power`` do not, so `energy_uncertainty` runs on arrays with
+the bits of one scalar evaluation per state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .evolution import FieldParams, ZeroFieldError
+from .evolution import ZeroFieldError, field_norms, sigma_dot
 from .su2 import Spinor
 
 
@@ -59,15 +60,6 @@ def spinor_from_bloch(b) -> Spinor:
     return Spinor(c1, c2)
 
 
-def _field_eigen_amplitudes(phi: Spinor, p: FieldParams) -> tuple[float, float]:
-    """|c+|, |c-| of phi in the eigenbasis of sigma . B."""
-    if p.field_norm == 0.0:
-        raise ZeroFieldError("field direction undefined for |B| = 0")
-    _, vecs = np.linalg.eigh(p.sigma_dot_b / p.field_norm)
-    amps = vecs.conj().T @ phi.vector
-    return abs(amps[0]), abs(amps[1])
-
-
 def uncertainty_margin(phi: Spinor) -> float:
     """(y^2 + z^2)(x^2 + z^2) - z^2, the geometric uncertainty slack.
 
@@ -79,10 +71,15 @@ def uncertainty_margin(phi: Spinor) -> float:
     return (y2 + z2) * (x2 + z2) - z2
 
 
-def energy_uncertainty(phi: Spinor, p: FieldParams) -> float:
-    """Energy spread mu |B| sin(theta) = 2 mu |B| |c+| |c-|.
-
-    Vanishes at field eigenstates and is largest a quarter turn away.
-    """
-    a_plus, a_minus = _field_eigen_amplitudes(phi, p)
-    return 2.0 * abs(p.mu) * p.field_norm * a_plus * a_minus
+def energy_uncertainty(states, b, mu: float) -> np.ndarray:
+    """Energy spread mu |B| sin(theta) = 2 mu |B| |c+| |c-| of each unit
+    state (..., 2) in the field of its row of b (..., 3), with c+- its
+    amplitudes in the eigenbasis of sigma . B.  It vanishes at field
+    eigenstates and is largest a quarter turn away."""
+    norms = field_norms(b)
+    if np.any(norms == 0.0):
+        raise ZeroFieldError("field direction undefined for |B| = 0")
+    _, vecs = np.linalg.eigh(sigma_dot(b) / norms[..., None, None])
+    amps = (vecs.conj().swapaxes(-1, -2) @ np.asarray(states)[..., None])[..., 0]
+    a = np.hypot(amps.real, amps.imag)
+    return 2.0 * abs(mu) * norms * a[..., 0] * a[..., 1]

@@ -12,8 +12,8 @@ before it writes a file removes the directories it created for --out; one
 that existed before is left in place.  Exit status: 0 pass,
 1 threshold failure, 2 usage, configuration or output-directory error
 (including a collapse run that would more likely than not hit its step
-limit, an integration of more than MAX_STEPS steps, and a count over the
-count budget), 3 no convergence
+limit, an integration of more than MAX_STEPS steps, a count over the
+count budget, and markov walks over the walk-step budget), 3 no convergence
 (a collapse trial or walk hit its step limit, or the lens search failed).
 
 Each configuration key is one entry of PARAMS (type, default, valid range,
@@ -42,6 +42,7 @@ from .collapse import (
     absorption_probabilities,
     born_statistics,
     build_markov_chain,
+    expected_absorption_steps,
     run_collapse_batch,
     run_ruin_walks,
     timeout_chance,
@@ -51,8 +52,10 @@ from .evolution import (
     FieldParams,
     evolution_speed,
     evolve_exact,
+    field_norms,
     geodesic_planarity,
     integrate_numeric,
+    sigma_dot,
     speed_along,
 )
 from .lens import (
@@ -87,6 +90,10 @@ MAX_STEPS = 10**7
 # and markov's (delta_grid + 1)^2 chain cells.  A count over it exits 2 when
 # the configuration is read, before anything is allocated.
 _MAX_COUNT = 10**7
+# The most steps markov's walks may take on average, --trials times the summed
+# expected absorption times of the starts (about 14 s on one core of a 2-vCPU
+# KVM guest, at 7e7 steps/s).  A run over it exits 2 before it walks.
+_MAX_WALK_STEPS = 10**9
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _COUNT = (lambda v: 0 < v <= _MAX_COUNT, f"must lie in [1, {_MAX_COUNT:.0e}]")
@@ -106,7 +113,7 @@ PARAMS = {
     "bz": Param(float, 1.0, "field component B_z (evolve, bloch)"),
     "b0": Param(float, 1.0, "field strength along -Y (e2-split)",
                 (lambda v: v != 0, "must be nonzero")),
-    "mu": Param(float, 1.0, "magnetic moment, nonzero"),
+    "mu": Param(float, 1.0, "magnetic moment", (lambda v: v != 0, "must be nonzero")),
     "hbar": Param(float, 1.0, "reduced Planck constant, positive"),
     "planes": Param(int, 100, "random planes besides the 3 basis planes (curvature)",
                     (lambda v: 0 <= v <= _MAX_COUNT, f"must lie in [0, {_MAX_COUNT:.0e}]")),
@@ -333,25 +340,31 @@ def _min_margin(rng, n):
     return worst
 
 
+def _energy_errors(rng, mu):
+    """|energy_uncertainty - sqrt(Var H)| / max(1, |mu|), the scale of its
+    rounding, of the next 1,000 (state, field) pairs of rng's stream, each
+    drawn in stream order and then computed on arrays, with the bits of the
+    per-pair form.  Where a large mu overflows the variance, the error is nan."""
+    draws = [(rng.normal(size=4), rng.normal(size=3), rng.uniform(0.5, 2.0)) for _ in range(1000)]
+    r, b, u = (np.array(column) for column in zip(*draws))
+    # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
+    states = np.array([_unit_pair(c1, c2) for c1, c2 in r.view(complex).tolist()])
+    fields = b / field_norms(b)[:, None] * u[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = -mu * sigma_dot(fields)
+        bra_h = states.conj()[:, None, :] @ h
+        ket = states[:, :, None]
+        # np.float_power squares as the scalar pow does; an array ** 2 does not.
+        variance = (bra_h @ h @ ket).real - np.float_power((bra_h @ ket).real, 2.0)
+        direct = np.sqrt(np.maximum(variance[:, 0, 0], 0.0))
+        return np.abs(energy_uncertainty(states, fields, mu) - direct) / max(1.0, abs(mu))
+
+
 def run_uncertainty(cfg):
     rng = np.random.default_rng(cfg["seed"])
     worst_margin = _min_margin(rng, cfg["states"])
-    errors = []
-    # Each error is in units of max(1, |mu|), the scale of its rounding.  At
-    # a large mu the direct variance overflows to inf or nan; np.max keeps a
-    # nan, so the check fails instead of skipping it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1000):
-            r = rng.normal(size=4)
-            phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-            b = rng.normal(size=3)
-            params = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0), cfg["mu"])
-            h = -params.mu * params.sigma_dot_b
-            v = phi.vector
-            variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
-            direct = math.sqrt(max(variance, 0.0))
-            errors.append(abs(energy_uncertainty(phi, params) - direct) / max(1.0, abs(cfg["mu"])))
-    worst_energy = float(np.max(errors))
+    # np.max keeps a nan, so an overflowed variance fails the check.
+    worst_energy = float(np.max(_energy_errors(rng, cfg["mu"])))
     eigen_margin = uncertainty_margin(Spinor(1.0, 0.0))
     return None, {
         "metrics": {
@@ -389,11 +402,16 @@ def run_born(cfg):
 def run_markov(cfg):
     m = cfg["delta_grid"]
     chain = build_markov_chain(m)
+    starts = sorted({max(1, (m * k) // 6) for k in range(1, 6)})
+    n_walks = cfg["trials"]
+    walk_steps = n_walks * float(expected_absorption_steps(chain)[starts].sum())
+    if walk_steps > _MAX_WALK_STEPS:
+        raise ConfigError(
+            f"markov's walks would take {walk_steps:.3g} steps on average, more than the "
+            f"budget of {_MAX_WALK_STEPS:.0e}; lower --delta-grid or --trials")
     exact = absorption_probabilities(chain)
     closed = np.cos(chain.thetas / 2.0) ** 2
     oracle_error = float(np.abs(exact - closed).max())
-    starts = sorted({max(1, (m * k) // 6) for k in range(1, 6)})
-    n_walks = cfg["trials"]
     absorbed, _ = run_ruin_walks(chain, starts, [cfg["seed"] + s for s in starts], n_walks)
     mc_freq = {}
     z_worst = 0.0

@@ -495,6 +495,22 @@ def absorption_probabilities(chain: MarkovChainModel) -> np.ndarray:
     return u
 
 
+def expected_absorption_steps(chain: MarkovChainModel) -> np.ndarray:
+    """Expected steps T_i to absorption from each state i, in O(m).
+
+    T_i = 1 + p_i T_{i-1} + q_i T_{i+1} with q_i = 1 - p_i and T_0 = T_m = 0,
+    so d_i = T_i - T_{i-1} obeys d_{i+1} = rho_i (d_1 - S_i), with rho_i the
+    product of p_k / q_k and S_i the sum of 1 / (q_k rho_k) over k <= i;
+    T_m = 0 fixes d_1.
+    """
+    p = chain.toward_zero_prob
+    q = 1.0 - p
+    rho = np.r_[1.0, np.cumprod(p / q)]
+    s = np.r_[0.0, np.cumsum(1.0 / (q * rho[1:]))]
+    d1 = (rho * s).sum() / rho.sum()
+    return np.r_[0.0, np.cumsum(rho * (d1 - s))]
+
+
 def _walk_thresholds(chain: MarkovChainModel) -> np.ndarray:
     """Entry _BLOCK + i: ceil(p_i 2^53) inside, 2^53 (toward 0) at i <= 0, 0 (away) at i >= m."""
     pad = np.full(_BLOCK + 1, _TWO53)

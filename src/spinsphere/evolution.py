@@ -37,14 +37,31 @@ class StepSizeError(ValueError):
     """Integrator step too large for the requested accuracy."""
 
 
+def sigma_dot(b) -> np.ndarray:
+    """sigma . b, the (..., 2, 2) complex matrix of each row of b (..., 3)."""
+    b = np.asarray(b, dtype=float)
+    return sum(b[..., k, None, None] * s for k, s in enumerate(PAULI))
+
+
+def field_norms(b) -> np.ndarray:
+    """|b| of each row of b (..., 3): sqrt(b . b) (np.vecdot rounds as np.dot
+    does) while b . b is a normal float, else math.hypot, which scales."""
+    rows = np.asarray(b, dtype=float).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(rows, rows)
+    norms = np.sqrt(sq)
+    scaled = ~((sys.float_info.min <= sq) & (sq < math.inf))
+    norms[scaled] = [math.hypot(*row) for row in rows[scaled].tolist()]
+    return norms.reshape(np.shape(b)[:-1])
+
+
 @dataclass(frozen=True, eq=False)
 class FieldParams:
     """Homogeneous magnetic field B with moment mu, in Planck units.
 
-    |B| (`field_norm`) and the matrix sigma . B (`sigma_dot_b`) are
-    computed once, when the instance is made; B and sigma . B are
-    read-only arrays.  |B| is sqrt(B . B) while B . B is a normal float,
-    and math.hypot (which scales) where B . B over- or underflows.
+    |B| (`field_norm`, by `field_norms`) and the matrix sigma . B
+    (`sigma_dot_b`, by `sigma_dot`) are computed once, when the instance
+    is made; B and sigma . B are read-only arrays.
     """
 
     B: np.ndarray
@@ -61,12 +78,9 @@ class FieldParams:
             raise ValueError("mu must be nonzero")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
-        sigma_b = sum(bk * s for bk, s in zip(b, PAULI))
+        sigma_b = sigma_dot(b)
         sigma_b.flags.writeable = False
-        with np.errstate(over="ignore"):
-            sq = float(b.dot(b))
-        norm = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*b)
-        object.__setattr__(self, "field_norm", norm)
+        object.__setattr__(self, "field_norm", float(field_norms(b)))
         object.__setattr__(self, "sigma_dot_b", sigma_b)
 
     @property
@@ -117,9 +131,7 @@ def evolve_exact(phi0: Spinor, p: FieldParams, t: float) -> Spinor:
         raise ZeroFieldError("evolution requires a nonzero field")
     theta = p.mu * b * t / p.hbar
     n = p.B / b
-    u = math.cos(theta) * np.eye(2, dtype=complex) + 1j * math.sin(theta) * (
-        sum(nk * s for nk, s in zip(n, PAULI))
-    )
+    u = math.cos(theta) * np.eye(2, dtype=complex) + 1j * math.sin(theta) * sigma_dot(n)
     v = u @ phi0.vector
     return Spinor(v[0], v[1])
 

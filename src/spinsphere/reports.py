@@ -6,7 +6,6 @@ seed and configuration produces byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -35,10 +34,12 @@ def write_json_report(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """RFC-4180 style CSV with a header row; '.' decimal via str() of numbers."""
+    """CSV with a header row and CRLF line ends, as csv.writer writes it for
+    fields that are numbers, None or strings with no ',', '"', CR or LF, in
+    rows of two or more fields.  `rows` is consumed once."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(
+            ",".join(["" if v is None else str(v) for v in row]) + "\r\n" for row in rows)

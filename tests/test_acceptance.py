@@ -169,7 +169,7 @@ def test_criterion_5_uncertainty_principle():
         var = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
         worst_energy = max(
             worst_energy,
-            abs(energy_uncertainty(phi, params) - math.sqrt(max(var, 0.0))),
+            abs(energy_uncertainty(v, params.B, params.mu) - math.sqrt(max(var, 0.0))),
         )
     assert worst_energy < 1e-10
     crit.done(

@@ -23,7 +23,7 @@ from spinsphere.bloch import (
     uncertainty_margin,
 )
 from spinsphere.cli import main
-from spinsphere.evolution import FieldParams, evolve_exact, integrate_numeric
+from spinsphere.evolution import FieldParams, ZeroFieldError, evolve_exact, integrate_numeric
 from spinsphere.su2 import PAULI, Spinor
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -44,10 +44,15 @@ def inhomogeneous_coord(phi):
     return phi.c2 / phi.c1
 
 
+def spread(phi, p):
+    """Energy spread of one state in the field of p."""
+    return energy_uncertainty(phi.vector, p.B, p.mu)
+
+
 def projective_speed(phi, p):
     """Speed 2 omega sin(theta) of the projected evolution, theta the angle
     of the Bloch point from the field axis: 2 Delta E / hbar."""
-    return 2.0 * energy_uncertainty(phi, p) / p.hbar
+    return 2.0 * spread(phi, p) / p.hbar
 
 
 def pauli_moments(phi):
@@ -244,14 +249,12 @@ def test_uncertainty_principle_many_states():
 
 def test_energy_uncertainty_values():
     p = FieldParams((0, 0, 1.0))
-    assert energy_uncertainty(Spinor(1, 0), p) == pytest.approx(0.0, abs=1e-12)
-    assert energy_uncertainty(Spinor(RT2, RT2), p) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert spread(Spinor(1, 0), p) == pytest.approx(0.0, abs=1e-12)
+    assert spread(Spinor(RT2, RT2), p) == pytest.approx(1.0, abs=1e-12)
     # theta = pi/6 from the field axis with mu B = 2: 2 sin(pi/6) = 1.
     state = spinor_from_bloch(np.array([math.sin(math.pi / 6), 0.0, math.cos(math.pi / 6)]))
     p2 = FieldParams((0, 0, 1.0), mu=2.0)
-    assert energy_uncertainty(state, p2) == pytest.approx(1.0, abs=1e-12)
+    assert spread(state, p2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_energy_uncertainty_matches_hamiltonian_variance():
@@ -262,7 +265,57 @@ def test_energy_uncertainty_matches_hamiltonian_variance():
         p = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0), mu=1.7)
         h = -p.mu * p.sigma_dot_b
         variance = expectation(phi, h @ h) - expectation(phi, h) ** 2
-        assert abs(energy_uncertainty(phi, p) - math.sqrt(max(variance, 0.0))) < 1e-10
+        assert abs(spread(phi, p) - math.sqrt(max(variance, 0.0))) < 1e-10
+
+
+def test_energy_uncertainty_broadcasts_over_states_and_fields():
+    rng = np.random.default_rng(3)
+    states = np.array([phi.vector for phi in random_spinors(rng, 12)]).reshape(3, 4, 2)
+    fields = rng.normal(size=(3, 4, 3))
+    spreads = energy_uncertainty(states, fields, -0.6)
+    assert spreads.shape == (3, 4)
+    for k in np.ndindex(3, 4):
+        assert spreads[k] == energy_uncertainty(states[k], fields[k], -0.6)
+    with pytest.raises(ZeroFieldError):
+        energy_uncertainty(states, np.zeros((3, 4, 3)), 1.0)
+
+
+def _scalar_energy_errors(rng, mu):
+    """cli._energy_errors one pair at a time, as the CLI computed it before
+    its array form: a state, a field with its sigma . B and |B|, two 2x2
+    matmuls and an eigh per pair, in Python and numpy scalars."""
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1000):
+            r = rng.normal(size=4)
+            v = Spinor(complex(r[0], r[1]), complex(r[2], r[3])).vector
+            b = rng.normal(size=3)
+            b = b / np.linalg.norm(b) * rng.uniform(0.5, 2.0)
+            sigma_b = sum(bk * s for bk, s in zip(b, PAULI))
+            norm = math.sqrt(float(b.dot(b)))
+            h = -mu * sigma_b
+            variance = float((v.conj() @ h @ h @ v).real - (v.conj() @ h @ v).real ** 2)
+            _, vecs = np.linalg.eigh(sigma_b / norm)
+            amps = vecs.conj().T @ v
+            energy = 2.0 * abs(mu) * norm * abs(amps[0]) * abs(amps[1])
+            errors.append(abs(energy - math.sqrt(max(variance, 0.0))) / max(1.0, abs(mu)))
+    return errors
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [1.0, -1.7, 1e5, 1e153, 1e200, 1e-7])
+def test_energy_errors_equal_the_per_pair_loop_bit_for_bit(mu):
+    # The array pass keeps each pair's draws in stream order and rounds as
+    # the scalar code does (np.hypot for |amp|, np.float_power for the
+    # square), so every error keeps its bits; at mu = 1e200 every variance
+    # overflows and every error is nan.
+    for seed in range(8):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        errors = cli._energy_errors(rng, mu)
+        expected = _scalar_energy_errors(oracle_rng, mu)
+        assert [x.hex() for x in errors.tolist()] == [x.hex() for x in expected]
+        assert np.isnan(errors).all() == (mu == 1e200)
+        assert rng.random() == oracle_rng.random()
 
 
 # ---------------------------------------------------------------------------

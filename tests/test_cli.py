@@ -1,7 +1,9 @@
 """CLI harness tests: exit codes, reproducibility, config precedence."""
 
 import ast
+import csv
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -85,6 +87,7 @@ def test_invalid_value_exits_2(tmp_path):
         (["lens", "--displacement", "inf"], None),
         (["e2-split", "--hbar", "inf"], None),
         (["uncertainty", "--mu", "inf"], None),
+        (["uncertainty", "--mu", "0"], None),
         (["bloch", "--bx", "nan"], None),
         (["evolve"], "t_final=inf\n"),
         (["lens"], "span=inf\n"),
@@ -122,11 +125,14 @@ def test_invalid_value_exits_2(tmp_path):
         (["born", "--trials", "1000000000"], None),
         (["uncertainty", "--states", "1000000000"], None),
         (["markov", "--delta-grid", "30000"], None),
+        # Inside the count budget, but about 8e10 expected walk steps.
+        (["markov", "--delta-grid", "3000", "--trials", "20000"], None),
     ],
     ids=["born-trials", "epr-trials", "markov-trials", "evolve-dt", "curvature-planes",
          "uncertainty-states", "config-trials", "config-c1sq", "flag-type",
          "unknown-experiment", "evolve-t-final-inf", "lens-span-inf",
          "lens-displacement-inf", "e2-split-hbar-inf", "uncertainty-mu-inf",
+         "uncertainty-mu-zero",
          "bloch-bx-nan", "config-t-final-inf", "config-span-inf",
          "config-displacement-neg-inf", "config-hbar-inf", "config-mu-inf",
          "config-bx-nan", "lens-span-negative", "config-span-zero",
@@ -138,7 +144,8 @@ def test_invalid_value_exits_2(tmp_path):
          "evolve-omega-underflow", "evolve-dt-step-count", "bloch-dt-step-count",
          "e2-split-t-final-step-count", "lens-span-step-count", "evolve-dt-step-bound",
          "bloch-dt-step-bound", "e2-split-t-final-step-bound", "lens-span-step-bound",
-         "born-trials-budget", "uncertainty-states-budget", "markov-delta-grid-budget"],
+         "born-trials-budget", "uncertainty-states-budget", "markov-delta-grid-budget",
+         "markov-walk-steps-budget"],
 )
 def test_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -445,6 +452,31 @@ def test_csv_cells_of_numpy_and_python_scalars(tmp_path):
                [np.float64(1e-300), 2.0 / 3.0, np.float32(0.5), -1, None]])
     assert target.read_bytes() == (b"a,b,c,d,e\r\n0.1,0.1,3,7,\r\n"
                                    b"1e-300,0.6666666666666666,0.5,-1,\r\n")
+
+
+# Each kind of column the experiments' tables hold, with the float values
+# whose text is easiest to get wrong.
+_FLOATS = np.array([0.1, -0.0, math.inf, -math.inf, math.nan, 1e-05, 1e16, 5e-324,
+                    -2.0 / 3.0, 1e300, 123456789.0])
+_CSV_TABLES = {
+    "float": lambda: cli._rows(
+        _FLOATS, np.column_stack([_FLOATS, -_FLOATS])[:, 1], _FLOATS[::-1]),
+    "int-memoryview": lambda: cli._rows(
+        range(11), np.arange(-5, 6, dtype=np.int8), np.arange(11, dtype=np.int64) * 2**40),
+    "markov": lambda: zip(memoryview(_FLOATS), memoryview(_FLOATS[::-1].copy()),
+                          ({2: 0.25, 7: 1e-05}.get(i, "") for i in range(11))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CSV_TABLES))
+def test_csv_bytes_equal_csv_writer(tmp_path, kind):
+    header = ["a", "b", "c"]
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(header)
+    writer.writerows(_CSV_TABLES[kind]())
+    write_csv(tmp_path / "t.csv", header, _CSV_TABLES[kind]())
+    assert (tmp_path / "t.csv").read_bytes() == oracle.getvalue().encode("utf-8")
 
 
 def test_json_keys_sorted(tmp_path):

@@ -15,6 +15,7 @@ from spinsphere.collapse import (
     CollapseTimeoutError,
     absorption_probabilities,
     build_markov_chain,
+    expected_absorption_steps,
     run_ruin_walks,
 )
 from spinsphere.randomness import TrialStream
@@ -62,6 +63,31 @@ def test_absorption_matches_closed_form():
     h = np.cos(chain.thetas / 2.0) ** 2
     assert u[0] == 1.0 and u[-1] == 0.0
     assert np.abs(u - h).max() < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 60, 301])
+def test_expected_absorption_steps_solve_the_recurrence(m):
+    chain = build_markov_chain(m)
+    p = chain.toward_zero_prob
+    t = expected_absorption_steps(chain)
+    # The dense solve of T_i - p_i T_{i-1} - (1 - p_i) T_{i+1} = 1 is the oracle.
+    a = np.eye(m - 1) - np.diag(p[1:], -1) - np.diag(1.0 - p[:-1], 1)
+    dense = np.linalg.solve(a, np.ones(m - 1))
+    assert t.shape == (m + 1,) and t[0] == 0.0
+    assert abs(t[m]) < 1e-12 * t.max()
+    assert np.abs(t[1:-1] - dense).max() < 1e-12 * t.max()
+    assert np.allclose(t, t[::-1], rtol=1e-12)  # the chain is symmetric about pi/2
+
+
+def test_expected_absorption_steps_match_the_walks():
+    # markov's five starts at m = 60: the mean steps of the walks from each
+    # start lie within 4 sigma of T_start (about 180, 411, 507, 411, 180).
+    chain = build_markov_chain(60)
+    starts = [10, 20, 30, 40, 50]
+    _, steps = run_ruin_walks(chain, starts, [42 + s for s in starts], 4000)
+    t = expected_absorption_steps(chain)[starts]
+    sigma = steps.std(axis=1) / math.sqrt(steps.shape[1])
+    assert np.all(np.abs(steps.mean(axis=1) - t) < 4.0 * sigma)
 
 
 def test_walks_match_oracle_at_five_starts():
