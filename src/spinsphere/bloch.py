@@ -13,12 +13,12 @@ uncertainty statements below are unaffected by that orientation choice,
 and the energy spread, which depends on the field axis, is evaluated
 through eigenbasis amplitudes so no sign convention can leak in.
 
-A Bloch point is a plain ``(3,)`` float array ``(x, y, z)``.  The point
-and margin functions do their arithmetic in Python floats.  numpy's
+A Bloch point is a float array ``(x, y, z)``.  The point, margin and
+energy functions take ``(..., 2)`` complex arrays of unit states and give
+each state the bits of the Python-float evaluation on its Spinor: numpy's
 ``np.abs`` of a complex array and array ``**`` round differently from
 Python's ``abs`` and ``pow``, but ``np.hypot`` of the parts and
-``np.float_power`` do not, so `energy_uncertainty` runs on arrays with
-the bits of one scalar evaluation per state.
+``np.float_power`` do not.
 """
 
 from __future__ import annotations
@@ -28,18 +28,21 @@ import math
 import numpy as np
 
 from .evolution import ZeroFieldError, field_norms, sigma_dot
-from .su2 import Spinor
+from .su2 import Spinor, over
 
 
-def _bloch_xyz(c1: complex, c2: complex) -> tuple[float, float, float]:
-    """The Bloch point of the unit state (c1, c2) as three Python floats."""
-    cross = c1 * c2.conjugate()
-    return 2.0 * cross.real, -2.0 * cross.imag, abs(c2) ** 2 - abs(c1) ** 2
-
-
-def hopf_project(phi: Spinor) -> np.ndarray:
-    """Project a unit state to its Bloch point, a (3,) array (x, y, z)."""
-    return np.array(_bloch_xyz(phi.c1, phi.c2))
+def hopf_project(states: np.ndarray) -> np.ndarray:
+    """Project (..., 2) unit states to their Bloch points, (..., 3) (x, y, z).
+    With (c1, c2) = (a + bi, c + di), c1 conj(c2) is (ac - b(-d)) +
+    (a(-d) + bc) i, as Python's complex product rounds it.  Transposed, the
+    parts of one state are fast numpy scalars, not 0-d arrays."""
+    re, im = states.real.T, states.imag.T
+    sq = np.float_power(np.hypot(re, im), 2.0)
+    a, b, c, d = re[0], im[0], re[1], im[1]
+    points = np.empty(states.shape[:-1] + (3,))
+    points.T[0], points.T[1] = 2.0 * (a * c - b * -d), -2.0 * (a * -d + b * c)
+    points.T[2] = sq[1] - sq[0]
+    return points
 
 
 def spinor_from_bloch(b) -> Spinor:
@@ -53,22 +56,21 @@ def spinor_from_bloch(b) -> Spinor:
     # phi1 conj(phi2)* relations: conj(phi1) phi2 = (x + i y)/2.
     if z <= 0.0:
         c1 = math.sqrt(0.5 * (1.0 - z))
-        c2 = complex(x, y) / (2.0 * c1)
-        return Spinor(c1, c2)
+        return Spinor(c1, over(complex(x, y), 2.0 * c1))
     c2 = math.sqrt(0.5 * (1.0 + z))
-    c1 = complex(x, -y) / (2.0 * c2)
-    return Spinor(c1, c2)
+    return Spinor(over(complex(x, -y), 2.0 * c2), c2)
 
 
-def uncertainty_margin(phi: Spinor) -> float:
-    """(y^2 + z^2)(x^2 + z^2) - z^2, the geometric uncertainty slack.
+def uncertainty_margin(states: np.ndarray) -> np.ndarray:
+    """(y^2 + z^2)(x^2 + z^2) - z^2, the geometric uncertainty slack, of
+    each (..., 2) unit state.
 
     Nonnegative for every unit Bloch vector; zero exactly at the z-axis
     poles and at equatorial points with x y = 0.
     """
-    x, y, z = _bloch_xyz(phi.c1, phi.c2)
+    x, y, z = hopf_project(states).T
     x2, y2, z2 = x * x, y * y, z * z
-    return (y2 + z2) * (x2 + z2) - z2
+    return ((y2 + z2) * (x2 + z2) - z2).T
 
 
 def energy_uncertainty(states, b, mu: float) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bloch import _bloch_xyz, energy_uncertainty, hopf_project, uncertainty_margin
+from .bloch import energy_uncertainty, hopf_project, uncertainty_margin
 from .collapse import (
     CaptureRegion,
     CollapseTimeoutError,
@@ -67,7 +67,7 @@ from .lens import (
 )
 from .pairs import SingletSectorState, epr_statistics, run_epr_batch
 from .reports import write_csv, write_json_report
-from .su2 import Spinor, _unit_pair, killing_inner
+from .su2 import Spinor, killing_inner, unit_states
 
 
 class Param(NamedTuple):
@@ -259,14 +259,11 @@ def run_bloch(cfg):
     params = FieldParams((cfg["bx"], cfg["by"], cfg["bz"]), cfg["mu"], cfg["hbar"])
     phi0 = _weighted_state(cfg["c1sq"])
     traj = _trajectory(cfg, phi0, params, 1.0)
-    # Each state as a Spinor would hold it; no list of every state is built.
-    points = np.empty((len(traj), 3))
-    flat, parts = memoryview(points.reshape(-1)), iter(traj.states.flat)
-    for j, c1, c2 in zip(range(0, 3 * len(traj), 3), parts, parts):
-        flat[j], flat[j + 1], flat[j + 2] = _bloch_xyz(*_unit_pair(c1, c2))
+    # Each state as a Spinor would hold it; no Spinor of each state is made.
+    points = hopf_project(unit_states(traj.states))
     norm_dev = float(np.abs(np.sqrt(np.vecdot(points, points)) - 1.0).max())
     shifted = Spinor(phi0.c1 * np.exp(0.7j), phi0.c2 * np.exp(0.7j))
-    phase_dev = float(np.abs(hopf_project(shifted) - hopf_project(phi0)).max())
+    phase_dev = float(np.abs(hopf_project(shifted.vector) - hopf_project(phi0.vector)).max())
     return (["t", "x", "y", "z"], _rows(traj.times, *points.T)), {
         "metrics": {"norm_deviation": norm_dev, "phase_invariance": phase_dev},
         "thresholds": {"norm_deviation": 1e-12, "phase_invariance": 1e-12},
@@ -306,37 +303,18 @@ def run_curvature(cfg):
     }
 
 
-# A margin computed in numpy differs from uncertainty_margin's by a few ulps
-# of 1 (every coordinate is at most 1 in size), far less than this slack.  So
-# the smallest scalar margin of a block is among the states whose numpy
-# margin is within the slack of the block's smallest, and only those states
-# are rescored with uncertainty_margin.
-_MARGIN_SLACK = 1e-9
-
-
-def _block_margins(rows):
-    """(y^2 + z^2)(x^2 + z^2) - z^2 of each row (a, b, c, d), the state
-    (a + bi, c + di), in numpy: close to, not bit-identical with,
-    uncertainty_margin."""
-    a, b, c, d = (rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True))).T
-    x, y, z = 2.0 * (a * c + b * d), 2.0 * (a * d - b * c), c * c + d * d - a * a - b * b
-    return (y * y + z * z) * (x * x + z * z) - z * z
-
-
 def _min_margin(rng, n):
     """The smallest uncertainty_margin of the next n states of rng's stream,
     one size-4 normal draw each; advances rng past them.
 
-    Blocks of 1,024 rows draw the stream of one size-4 call per state,
+    Blocks of 4,096 rows draw the stream of one size-4 call per state,
     without holding every state at once.
     """
     worst = math.inf
-    for lo in range(0, n, 1024):
-        rows = rng.normal(size=(min(1024, n - lo), 4))
-        m = _block_margins(rows)
+    for lo in range(0, n, 4096):
         # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
-        for c1, c2 in rows[m <= m.min() + _MARGIN_SLACK].view(complex).tolist():
-            worst = min(worst, uncertainty_margin(Spinor(c1, c2)))
+        rows = rng.normal(size=(min(4096, n - lo), 4)).view(complex)
+        worst = min(worst, float(uncertainty_margin(unit_states(rows)).min()))
     return worst
 
 
@@ -348,7 +326,7 @@ def _energy_errors(rng, mu):
     draws = [(rng.normal(size=4), rng.normal(size=3), rng.uniform(0.5, 2.0)) for _ in range(1000)]
     r, b, u = (np.array(column) for column in zip(*draws))
     # Row (a, b, c, d) viewed as complex is (a + bi, c + di), bit for bit.
-    states = np.array([_unit_pair(c1, c2) for c1, c2 in r.view(complex).tolist()])
+    states = unit_states(r.view(complex))
     fields = b / field_norms(b)[:, None] * u[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         h = -mu * sigma_dot(fields)
@@ -365,7 +343,7 @@ def run_uncertainty(cfg):
     worst_margin = _min_margin(rng, cfg["states"])
     # np.max keeps a nan, so an overflowed variance fails the check.
     worst_energy = float(np.max(_energy_errors(rng, cfg["mu"])))
-    eigen_margin = uncertainty_margin(Spinor(1.0, 0.0))
+    eigen_margin = float(uncertainty_margin(Spinor(1.0, 0.0).vector))
     return None, {
         "metrics": {
             "min_margin": worst_margin,

@@ -130,31 +130,31 @@ class CaptureRegion:
 DEFAULT_REGION = CaptureRegion(math.pi / 48.0, _REGION_MAX, _REGION_MAX)
 
 
-def source_frame_coords(phi: Spinor, anchor: int) -> tuple[float, float, float]:
-    """Coordinates (theta, alpha, beta) of a state in a source's chart.
+def source_frame_coords(phi: Spinor) -> tuple[tuple[float, float, float], ...]:
+    """(theta, alpha, beta) of a state in the chart of source 0, then of source 1.
 
     theta in (-pi, pi] is the signed polar distance from the anchor's
     projective point (the sign covers the second meridian of each
     alpha-curve), alpha in (-pi/2, pi/2] the azimuth, beta in (-pi, pi]
-    the phase relative to the reference section of the fibration.
+    the phase relative to the reference section of the fibration, the
+    same in both charts.
     """
-    if anchor not in (0, 1):
-        raise ValueError("anchor must be 0 or 1")
-    v = hopf_project(phi)
-    pole, ex, ey = _FRAMES[anchor]
-    sx, sy = float(np.dot(v, ex)), float(np.dot(v, ey))
-    polar = math.atan2(math.hypot(sx, sy), float(np.dot(v, pole)))
-    azimuth = math.atan2(sy, sx)
-    if -math.pi / 2.0 < azimuth <= math.pi / 2.0:
-        theta, alpha = polar, azimuth
-    elif azimuth > math.pi / 2.0:
-        theta, alpha = -polar, azimuth - math.pi
-    else:
-        theta, alpha = -polar, azimuth + math.pi
-    ref = spinor_from_bloch(v)
-    inner = phi.inner(ref)
+    v = hopf_project(phi.vector)
+    inner = phi.inner(spinor_from_bloch(v))
     beta = math.atan2(inner.imag, inner.real)
-    return theta, alpha, beta
+    coords = []
+    for pole, ex, ey in _FRAMES:
+        sx, sy = float(np.dot(v, ex)), float(np.dot(v, ey))
+        polar = math.atan2(math.hypot(sx, sy), float(np.dot(v, pole)))
+        azimuth = math.atan2(sy, sx)
+        if -math.pi / 2.0 < azimuth <= math.pi / 2.0:
+            theta, alpha = polar, azimuth
+        elif azimuth > math.pi / 2.0:
+            theta, alpha = -polar, azimuth - math.pi
+        else:
+            theta, alpha = -polar, azimuth + math.pi
+        coords.append((theta, alpha, beta))
+    return tuple(coords)
 
 
 def _theta_u_interval(theta_c: float, d_theta: float) -> tuple[float, float]:
@@ -193,18 +193,20 @@ def _circle_bit_range(center: float, halfwidth: float) -> tuple[int, int]:
     return (first << 11) % 2**64, (math.floor((c + w) * _TWO53) - first + 1) << 11
 
 
-def _source_window(phi: Spinor, anchor: int, region: CaptureRegion) -> tuple:
-    """Raw-draw ranges (start, count) of theta, alpha and beta of a source.
+def _source_windows(phi: Spinor, region: CaptureRegion) -> tuple:
+    """Raw-draw ranges (start, count) of theta, alpha and beta of each source.
 
-    Its draws b capture phi when (b - start) mod 2^64 < count holds for all
-    three; alpha = pi/2 - pi u and beta = pi - 2 pi u make the alpha and
-    beta boxes arcs of the unit circle in u.
+    Source k's draws b capture phi when (b - start) mod 2^64 < count holds
+    for all three of its ranges; alpha = pi/2 - pi u and beta = pi - 2 pi u
+    make the alpha and beta boxes arcs of the unit circle in u.
     """
-    theta_c, alpha_c, beta_c = source_frame_coords(phi, anchor)
-    return (
-        _theta_bit_range(*_theta_u_interval(theta_c, region.d_theta)),
-        _circle_bit_range((math.pi / 2.0 - alpha_c) / math.pi, region.d_alpha / math.pi),
-        _circle_bit_range((math.pi - beta_c) / TWO_PI, region.d_beta / TWO_PI),
+    return tuple(
+        (
+            _theta_bit_range(*_theta_u_interval(theta_c, region.d_theta)),
+            _circle_bit_range((math.pi / 2.0 - alpha_c) / math.pi, region.d_alpha / math.pi),
+            _circle_bit_range((math.pi - beta_c) / TWO_PI, region.d_beta / TWO_PI),
+        )
+        for theta_c, alpha_c, beta_c in source_frame_coords(phi)
     )
 
 
@@ -212,12 +214,12 @@ def capture_law(phi: Spinor, region: CaptureRegion) -> tuple[Fraction, Fraction]
     """Exact per-tick capture probabilities (p0, p1) of the two sources.
 
     Source k captures phi on a tick when its three draws fall in the
-    ranges of _source_window, so p_k is the product of their counts over
+    ranges of _source_windows, so p_k is the product of their counts over
     2^192.
     """
     return tuple(
-        Fraction(math.prod(count for _, count in _source_window(phi, k, region)), 2**192)
-        for k in (0, 1)
+        Fraction(math.prod(count for _, count in window), 2**192)
+        for window in _source_windows(phi, region)
     )
 
 
@@ -363,7 +365,7 @@ def run_collapse_trial(
 
     Raises CollapseTimeoutError if no capture occurs within max_steps.
     """
-    windows = tuple(_source_window(phi, k, region) for k in (0, 1))
+    windows = _source_windows(phi, region)
     start = rng.position
     eigenstates, steps = _run_trials(windows, np.array([rng.key]), start, max_steps)
     if eigenstates[0] < 0:
@@ -406,7 +408,7 @@ def run_collapse_batch(
     Raises CollapseTimeoutError if any trial fails to terminate within
     max_steps.
     """
-    windows = tuple(_source_window(phi, k, region) for k in (0, 1))
+    windows = _source_windows(phi, region)
     keys = derive_keys(seed, np.arange(n_trials))
     eigenstates, steps = sharded(
         lambda lo, hi: _run_trials(windows, keys[lo:hi], 0, max_steps),

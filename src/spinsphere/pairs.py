@@ -26,7 +26,7 @@ from .collapse import (
     run_collapse_trial,
 )
 from .randomness import TrialStream
-from .su2 import Spinor
+from .su2 import Spinor, over
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class SingletSectorState:
         n = float(np.hypot(abs(self.a), abs(self.b)))
         if n == 0.0 or not np.isfinite(n):
             raise ValueError("cannot normalize a zero sector state")
-        object.__setattr__(self, "a", complex(self.a) / n)
-        object.__setattr__(self, "b", complex(self.b) / n)
+        object.__setattr__(self, "a", over(self.a, n))
+        object.__setattr__(self, "b", over(self.b, n))
 
     @property
     def effective_spinor(self) -> Spinor:

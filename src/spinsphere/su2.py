@@ -16,9 +16,10 @@ is an array of shape ``(..., 3)``: the inner product is a quarter of the
 row-wise dot product and the commutator is the cross product, so the
 functions below act on every row at once.  The 2x2 matrix of ``a`` is
 ``sum_k a_k (i/2) PAULI[k]``.  A point ``(x, y, z)`` of the
-sphere of physical states is likewise a ``(3,)`` float array (see
-``bloch.hopf_project``); only ``Spinor`` stays a class, because it
-enforces unit norm.
+sphere of physical states is likewise a float array, ``(..., 3)`` for the
+``(..., 2)`` complex states ``bloch.hopf_project`` takes; only ``Spinor``
+stays a class, because it enforces unit norm.  ``unit_states`` normalizes
+such an array with the bits ``Spinor`` holds.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ class Spinor:
     c2: complex
 
     def __post_init__(self):
-        c1, c2 = _unit_pair(self.c1, self.c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        n = math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
+        if not math.isfinite(n) or n == 0.0:
+            raise ValueError("cannot normalize a zero or non-finite spinor")
+        object.__setattr__(self, "c1", over(self.c1, n))
+        object.__setattr__(self, "c2", over(self.c2, n))
 
     @property
     def vector(self) -> np.ndarray:
@@ -60,12 +63,26 @@ class Spinor:
         return self.c1 * other.c1.conjugate() + self.c2 * other.c2.conjugate()
 
 
-def _unit_pair(c1, c2) -> tuple[complex, complex]:
-    """(c1, c2) divided by its norm, as Spinor holds it, without the instance."""
-    n = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
-    if not math.isfinite(n) or n == 0.0:
-        raise ValueError("cannot normalize a zero or non-finite spinor")
-    return complex(c1) / n, complex(c2) / n
+def over(z, n: float) -> complex:
+    """z / n for a complex z = a + bi and a float n > 0, as the parts
+    ((a + b 0.0)/n, (b - a 0.0)/n): CPython's complex / float up to 3.13,
+    on every version (3.14 divides componentwise, moving signed zeros)."""
+    z = complex(z)
+    return complex((z.real + z.imag * 0.0) / n, (z.imag - z.real * 0.0) / n)
+
+
+def unit_states(states: np.ndarray) -> np.ndarray:
+    """The (..., 2) complex states divided by their norms, with the bits
+    Spinor holds: |c|^2 as np.float_power(np.hypot(re, im), 2.0), which
+    rounds as Python's abs(c) ** 2 does (x * x does not), and each part as
+    by `over`."""
+    re, im = states.real, states.imag
+    sq = np.float_power(np.hypot(re, im), 2.0)
+    n = np.sqrt(sq[..., 0] + sq[..., 1])[..., None]
+    out = np.empty_like(states)
+    out.real = (re + im * 0.0) / n
+    out.imag = (im - re * 0.0) / n
+    return out
 
 
 def killing_inner(x, y):

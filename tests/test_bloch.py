@@ -16,7 +16,6 @@ from test_acceptance import fs_distance, transition_probability
 
 from spinsphere import cli
 from spinsphere.bloch import (
-    _bloch_xyz,
     energy_uncertainty,
     hopf_project,
     spinor_from_bloch,
@@ -24,7 +23,7 @@ from spinsphere.bloch import (
 )
 from spinsphere.cli import main
 from spinsphere.evolution import FieldParams, ZeroFieldError, evolve_exact, integrate_numeric
-from spinsphere.su2 import PAULI, Spinor
+from spinsphere.su2 import PAULI, Spinor, unit_states
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +57,7 @@ def projective_speed(phi, p):
 def pauli_moments(phi):
     """(expectations, variances) of the three spin components: the Bloch
     point, and 1 - x^2 = y^2 + z^2 and cyclic (each component squares to 1)."""
-    b = hopf_project(phi)
+    b = hopf_project(phi.vector)
     return b, 1.0 - b * b
 
 
@@ -74,13 +73,13 @@ def variance_on_geodesic(ck_sq, lambda_k, lambda_l):
 # ---------------------------------------------------------------------------
 
 def test_hopf_basis_state():
-    b = hopf_project(Spinor(1.0, 0.0))
+    b = hopf_project(Spinor(1.0, 0.0).vector)
     assert b.shape == (3,) and b.dtype == np.float64
     assert np.allclose(b, (0.0, 0.0, -1.0), atol=1e-15)
 
 
 def test_hopf_equal_superposition():
-    b = hopf_project(Spinor(RT2, RT2))
+    b = hopf_project(Spinor(RT2, RT2).vector)
     assert np.allclose(b, (1.0, 0.0, 0.0), atol=1e-15)
 
 
@@ -91,7 +90,7 @@ def test_hopf_phase_invariance_and_unit_image():
         shifted = Spinor(
             phi.c1 * cmath.exp(1j * beta), phi.c2 * cmath.exp(1j * beta)
         )
-        b1, b2 = hopf_project(phi), hopf_project(shifted)
+        b1, b2 = hopf_project(phi.vector), hopf_project(shifted.vector)
         assert np.abs(b1 - b2).max() < 1e-12
         assert abs(np.linalg.norm(b1) - 1.0) < 1e-12
 
@@ -99,11 +98,11 @@ def test_hopf_phase_invariance_and_unit_image():
 def test_spinor_from_bloch_round_trip():
     rng = np.random.default_rng(41)
     for phi in random_spinors(rng, 500):
-        b = hopf_project(phi)
-        again = hopf_project(spinor_from_bloch(b))
+        b = hopf_project(phi.vector)
+        again = hopf_project(spinor_from_bloch(b).vector)
         assert np.abs(b - again).max() < 1e-12
     for pole in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
-        assert np.abs(hopf_project(spinor_from_bloch(pole)) - pole).max() < 1e-12
+        assert np.abs(hopf_project(spinor_from_bloch(pole).vector) - pole).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def test_xi_stereographic_identity():
     for phi in random_spinors(rng, 300):
         if abs(phi.c1) < 1e-3:
             continue
-        x, y, z = hopf_project(phi)
+        x, y, z = hopf_project(phi.vector)
         xi = inhomogeneous_coord(phi)
         stereo = complex(x, y) / (1.0 - z)
         assert abs(xi - stereo) < 1e-10
@@ -170,8 +169,8 @@ def test_projective_speed_finite_difference():
         b = rng.normal(size=3)
         p = FieldParams(b / np.linalg.norm(b) * rng.uniform(0.5, 2.0))
         dt = 1e-5
-        b_plus = hopf_project(evolve_exact(phi, p, dt))
-        b_minus = hopf_project(evolve_exact(phi, p, -dt))
+        b_plus = hopf_project(evolve_exact(phi, p, dt).vector)
+        b_minus = hopf_project(evolve_exact(phi, p, -dt).vector)
         fd = np.linalg.norm(b_plus - b_minus) / (2 * dt)
         assert abs(fd - projective_speed(phi, p)) < 1e-6
 
@@ -180,9 +179,9 @@ def test_eigenstate_evolution_projectively_trivial():
     p = FieldParams((0.3, -0.7, 0.64))
     _, vecs = np.linalg.eigh(p.sigma_dot_b)
     eigenstate = Spinor(vecs[0, 1], vecs[1, 1])
-    start = hopf_project(eigenstate)
+    start = hopf_project(eigenstate.vector)
     for t in np.linspace(0.1, 5.0, 7):
-        moved = hopf_project(evolve_exact(eigenstate, p, t))
+        moved = hopf_project(evolve_exact(eigenstate, p, t).vector)
         assert np.abs(moved - start).max() < 1e-9
     assert projective_speed(eigenstate, p) < 1e-12
 
@@ -229,19 +228,19 @@ def test_pauli_moments_against_matrix_elements():
 
 
 def test_uncertainty_margin_values():
-    assert uncertainty_margin(Spinor(1, 0)) == pytest.approx(0.0, abs=1e-12)
-    assert uncertainty_margin(Spinor(0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert uncertainty_margin(Spinor(1, 0).vector) == pytest.approx(0.0, abs=1e-12)
+    assert uncertainty_margin(Spinor(0, 1).vector) == pytest.approx(0.0, abs=1e-12)
     # Equatorial state at x = 1: margin x^2 y^2 = 0.
-    assert uncertainty_margin(Spinor(RT2, RT2)) == pytest.approx(0.0, abs=1e-12)
+    assert uncertainty_margin(Spinor(RT2, RT2).vector) == pytest.approx(0.0, abs=1e-12)
     # x = y = z = 1/sqrt(3): (2/3)(2/3) - 1/3 = 1/9.
     diag = spinor_from_bloch(np.full(3, 1 / math.sqrt(3)))
-    assert uncertainty_margin(diag) == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert uncertainty_margin(diag.vector) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
 def test_uncertainty_principle_many_states():
     rng = np.random.default_rng(46)
     for phi in random_spinors(rng, 10_000):
-        assert uncertainty_margin(phi) >= -1e-12
+        assert uncertainty_margin(phi.vector) >= -1e-12
         expectations, variances = pauli_moments(phi)
         dx, dy = math.sqrt(variances[0]), math.sqrt(variances[1])
         assert dx * dy >= abs(expectations[2]) - 1e-12
@@ -414,7 +413,7 @@ def test_bloch_points_are_those_of_a_spinor_per_state(tmp_path, monkeypatch):
     assert main(["bloch", "--c1sq", "0.3", "--bx", "0.4", "--by", "-1.2", "--bz", "0.7",
                  "--mu", "-0.8", "--hbar", "1.3", "--out", str(tmp_path)]) == 0
     (traj,) = trajs
-    expected = [_bloch_xyz(phi.c1, phi.c2)
+    expected = [_scalar_projection(phi.c1, phi.c2)
                 for phi in (Spinor(c1, c2) for c1, c2 in traj.states)]
     assert len(rows) == len(traj) == 1001
     assert np.array(rows)[:, 1:].tobytes() == np.array(expected).tobytes()
@@ -465,14 +464,14 @@ def test_uncertainty_energy_check_passes_at_a_large_mu(tmp_path, capsys, mu):
 
 
 @pytest.mark.parametrize("seed", [0, 100, 2**31 - 1])
-@pytest.mark.parametrize("n", [1, 1023, 1025, 50_000, 60_001])
+@pytest.mark.parametrize("n", [1, 1023, 1025, 4095, 4097, 50_000, 60_001])
 def test_normal_rows_in_blocks_are_one_call_per_state(seed, n):
-    # run_uncertainty draws its states in blocks of 1,024 rows: the rows, as
+    # run_uncertainty draws its states in blocks of 4,096 rows: the rows, as
     # bits, and the generator's next draw must be those of one size-4 call
     # per state.
     blocks = np.random.default_rng(seed)
-    rows = np.concatenate([blocks.normal(size=(min(1024, n - lo), 4))
-                           for lo in range(0, n, 1024)])
+    rows = np.concatenate([blocks.normal(size=(min(4096, n - lo), 4))
+                           for lo in range(0, n, 4096)])
     one_by_one = np.random.default_rng(seed)
     expected = np.array([one_by_one.normal(size=4) for _ in range(n)])
     assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
@@ -499,28 +498,39 @@ def _states_at_noise_level(rng, n):
     return np.stack([a, b, -t * b, t * a], axis=1)
 
 
-def test_block_margins_stay_far_inside_the_slack():
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_projection_matches_the_scalar_oracles_bit_for_bit():
+    # unit_states must hold each row's Spinor parts, and hopf_project and
+    # uncertainty_margin the scalar oracles' values, sign of zero included:
+    # on normal rows, rows at the margin's rounding-noise level, rows with
+    # signed zero parts and rows of size 1e-150.
     rng = np.random.default_rng(5)
-    for rows in (rng.normal(size=(4096, 4)), _states_at_noise_level(rng, 4096)):
-        scalar = [_scalar_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()]
-        assert np.abs(cli._block_margins(rows) - scalar).max() < 1e-4 * cli._MARGIN_SLACK
+    normal = rng.normal(size=(10_000, 4))
+    zeros = normal * (rng.random(normal.shape) < 0.5)
+    zeros = zeros[np.any(zeros != 0.0, axis=1)]
+    for rows in (normal, _states_at_noise_level(rng, 10_000), zeros, 1e-150 * normal):
+        spinors = [Spinor(c1, c2) for c1, c2 in rows.view(complex).tolist()]
+        states = unit_states(rows.view(complex))
+        assert _hex(states.view(float)) == _hex(
+            [[c.real, c.imag] for phi in spinors for c in (phi.c1, phi.c2)])
+        assert _hex(hopf_project(states)) == _hex(
+            [_scalar_projection(phi.c1, phi.c2) for phi in spinors])
+        assert _hex(uncertainty_margin(states)) == _hex([_scalar_margin(phi) for phi in spinors])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 4])
 def test_min_margin_rescores_every_near_tie(seed):
-    # 5,003 rows (not a multiple of the 1,024-row block), a third of them at
-    # the rounding-noise level where the numpy order of the margins is not
-    # the scalar order.
+    # 5,003 rows (not a multiple of the 4,096-row block), a third of them at
+    # the rounding-noise level, where a margin rounded in any other order
+    # would not be the scalar one.
     rng = np.random.default_rng(seed)
     rows = np.concatenate([rng.normal(size=(3335, 4)), _states_at_noise_level(rng, 1668)])
     rows = rows[rng.permutation(len(rows))]
     margins = [_scalar_margin(Spinor(c1, c2)) for c1, c2 in rows.view(complex).tolist()]
-    # Rescoring only the states at each block's smallest numpy margin
-    # misses the smallest scalar margin here.
-    numpy_margins = cli._block_margins(rows)
-    assert min(margin for lo in range(0, len(rows), 1024)
-               for margin, m in zip(margins[lo : lo + 1024], numpy_margins[lo : lo + 1024])
-               if m == numpy_margins[lo : lo + 1024].min()) != min(margins)
     stream = _Rows(rows)
     assert cli._min_margin(stream, len(rows)) == min(margins)
     assert stream.taken == len(rows)

@@ -43,7 +43,7 @@ from spinsphere.collapse import (
 from spinsphere.collapse import (
     _circle_bit_range,
     _run_trials,
-    _source_window,
+    _source_windows,
     _theta_bit_range,
     _theta_u_interval,
 )
@@ -193,9 +193,9 @@ def test_capture_ratio_is_born_ratio():
 def test_source_frame_coords_of_eigenstates():
     up = Spinor(1.0, 0.0)
     down = Spinor(0.0, 1.0)
-    assert source_frame_coords(up, 0)[0] == pytest.approx(0.0, abs=1e-12)
-    assert abs(source_frame_coords(up, 1)[0]) == pytest.approx(math.pi, abs=1e-12)
-    assert source_frame_coords(down, 1)[0] == pytest.approx(0.0, abs=1e-12)
+    assert source_frame_coords(up)[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert abs(source_frame_coords(up)[1][0]) == pytest.approx(math.pi, abs=1e-12)
+    assert source_frame_coords(down)[1][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_source_frame_theta_is_projective_distance():
@@ -203,16 +203,16 @@ def test_source_frame_theta_is_projective_distance():
     for _ in range(200):
         r = rng.normal(size=4)
         phi = Spinor(complex(r[0], r[1]), complex(r[2], r[3]))
-        theta0 = abs(source_frame_coords(phi, 0)[0])
+        theta0 = abs(source_frame_coords(phi)[0][0])
         assert math.cos(theta0 / 2.0) ** 2 == pytest.approx(
             abs(phi.c1) ** 2, abs=1e-12
         )
-        theta1 = abs(source_frame_coords(phi, 1)[0])
+        theta1 = abs(source_frame_coords(phi)[1][0])
         assert theta0 + theta1 == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_weighted_state_sits_at_pi_over_3():
-    theta0 = abs(source_frame_coords(state_with_weight(0.75), 0)[0])
+    theta0 = abs(source_frame_coords(state_with_weight(0.75))[0][0])
     assert theta0 == pytest.approx(math.pi / 3.0, abs=1e-12)
 
 
@@ -382,7 +382,7 @@ def test_grown_blocks_stop_at_the_step_limit(workers, monkeypatch):
     n = shards._MIN_ITEMS + 1
     phi = state_with_weight(0.5)
     keys = derive_keys(42, np.arange(n))
-    windows = tuple(_source_window(phi, k, WIDE_BOX) for k in (0, 1))
+    windows = _source_windows(phi, WIDE_BOX)
 
     def run_slice(lo, hi):
         return _run_trials(windows, keys[lo:hi], 0, 500)
@@ -636,7 +636,7 @@ def oracle_windows(phi, region):
     the alpha = pi/2 - pi u and beta = pi - 2 pi u boxes as arcs in u."""
     windows = []
     for k in (0, 1):
-        theta_c, alpha_c, beta_c = source_frame_coords(phi, k)
+        theta_c, alpha_c, beta_c = source_frame_coords(phi)[k]
         windows.append((
             _theta_u_interval(theta_c, region.d_theta),
             ((math.pi / 2 - alpha_c) / math.pi, region.d_alpha / math.pi),
@@ -733,7 +733,7 @@ def test_kernel_empty_rounds_and_timeouts_match_oracle(monkeypatch, widths):
         monkeypatch.setattr(collapse, "_BLOCK", widths[0])
         monkeypatch.setattr(collapse, "_ROWS", widths[1])
     phi, region, n = Spinor(0.6, 0.8j), CaptureRegion(math.pi / 8, 1e-3, math.pi / 8), 300
-    windows = tuple(_source_window(phi, k, region) for k in (0, 1))
+    windows = _source_windows(phi, region)
     out, steps = _run_trials(windows, derive_keys(11, np.arange(n)), 0, 200)
     got = [(int(e), int(s)) if e >= 0 else None for e, s in zip(out, steps)]
     oracle = oracle_windows(phi, region)
@@ -789,7 +789,7 @@ def test_circle_bit_range_boundaries():
              (rng.random(), 3 * step), (0.75, 3 * step)]                 # tiny
     for phi in (Spinor(0.6, 0.8j), Spinor(0.5 - 0.5j, -0.7), state_with_weight(0.3)):
         for k in (0, 1):
-            _, alpha_c, beta_c = source_frame_coords(phi, k)
+            _, alpha_c, beta_c = source_frame_coords(phi)[k]
             arcs += [((math.pi / 2 - alpha_c) / math.pi, math.pi / 8 / math.pi),
                      ((math.pi - beta_c) / (2 * math.pi), 0.2 / (2 * math.pi))]
     for center, halfwidth in arcs:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinsphere.su2 import PAULI, Spinor, commutator, killing_inner, killing_norm
+from spinsphere.bloch import spinor_from_bloch
+from spinsphere.pairs import SingletSectorState
+from spinsphere.su2 import PAULI, Spinor, commutator, killing_inner, killing_norm, over
 
 E1, E2, E3 = np.eye(3)
 
@@ -80,6 +82,46 @@ def test_spinor_constructor_normalizes():
 def test_spinor_zero_rejected():
     with pytest.raises(ValueError):
         Spinor(0.0, 0.0)
+
+
+def _hex_parts(*values):
+    return [part.hex() for z in values for part in (z.real, z.imag)]
+
+
+# (z, n, z / n) with z / n as CPython up to 3.13 divides, hard-coded so that
+# the rule holds on interpreters that divide componentwise (3.14 on).
+SIGNED_ZERO_QUOTIENTS = [
+    (complex(-0.0, 0.0), 2.0, ["0x0.0p+0", "0x0.0p+0"]),
+    (complex(-0.0, -0.0), 2.0, ["-0x0.0p+0", "0x0.0p+0"]),
+    (complex(0.0, -0.0), 2.0, ["0x0.0p+0", "-0x0.0p+0"]),
+    (complex(-0.0, 3.0), 4.0, ["0x0.0p+0", "0x1.8000000000000p-1"]),
+    (complex(3.0, -0.0), 4.0, ["0x1.8000000000000p-1", "-0x0.0p+0"]),
+    (complex(-3.0, -0.0), 4.0, ["-0x1.8000000000000p-1", "0x0.0p+0"]),
+]
+
+
+@pytest.mark.parametrize("z, n, expected", SIGNED_ZERO_QUOTIENTS)
+def test_over_keeps_the_signed_zeros_of_complex_division(z, n, expected):
+    assert _hex_parts(over(z, n)) == expected
+
+
+def test_over_is_complex_division_away_from_zero_parts():
+    rng = np.random.default_rng(17)
+    for re, im, n in rng.normal(size=(2000, 3)).tolist():
+        assert _hex_parts(over(complex(re, im), abs(n))) == _hex_parts(complex(re, im) / abs(n))
+
+
+def test_every_quotient_site_keeps_the_signed_zeros():
+    # Spinor, spinor_from_bloch and SingletSectorState divide through over.
+    minus_two = complex(-2.0, -0.0)
+    phi = Spinor(complex(-0.0, -0.0), minus_two)
+    assert _hex_parts(phi.c1, phi.c2) == ["-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0"]
+    sector = SingletSectorState(complex(-0.0, -0.0), minus_two)
+    assert _hex_parts(sector.a, sector.b) == _hex_parts(phi.c1, phi.c2)
+    south = spinor_from_bloch(np.array([0.0, -0.0, -1.0]))
+    assert _hex_parts(south.c1, south.c2) == ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+    north = spinor_from_bloch(np.array([-0.0, -0.0, 1.0]))
+    assert _hex_parts(north.c1, north.c2) == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
 
 
 def test_omega_identity_case():
